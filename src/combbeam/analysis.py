@@ -22,6 +22,7 @@ from .kspace import (
     calibrate_axis,
     complex_field,
     default_time_grid,
+    periodic_field,
     run_beamform,
     time_to_u,
 )
@@ -227,8 +228,11 @@ def nearfield_error_sweep(az_deg: float, ranges_m, geometry: ArrayGeometry,
     """Azimuth error vs source range for a single point source.
 
     The axis is recalibrated with probes at each swept range, so the
-    reported error isolates wavefront curvature across the aperture: it is
-    largest up close and decays monotonically toward zero in the far field.
+    reported error isolates wavefront curvature across the aperture and
+    decays toward zero in the far field. The decay is monotone in range for
+    negative azimuths and for |az| >= 10°; at small positive azimuths it is
+    not (on the bundled 21-element line at az = 5°, |error| is 0.0022° at
+    1.5 m but 0.0047° at 2.5 m).
     """
     ranges = np.asarray(list(ranges_m), dtype=float)
     if ranges.size == 0 or np.any(ranges <= 0):
@@ -271,7 +275,7 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
                                     config.phase_sign)
     grid = default_time_grid(comb, config.grid_points)
-    z_clean = complex_field(phasors, grid)
+    z_clean = periodic_field(phasors, grid)
     i_peak = int(np.argmax(np.abs(z_clean)))
     n = grid.size
     num_elements = len(phasors)

@@ -6,7 +6,7 @@ Scenario schema (all frequencies Hz, lengths m, times s, angles deg)::
       f0_hz: 19000800000.0      # tone n sits at f0_hz + n*delta_f_hz
       delta_f_hz: 200000.0
       num_tones: 21
-      duration_s: 0.000005
+      duration_s: 0.000005      # a whole multiple of 1/delta_f_hz
       amplitude: 1.0            # optional, default 1.0
     array:
       kind: linear              # linear | planar
@@ -44,14 +44,18 @@ model is scene-wide). Commands:
     combbeam sweep --config scenario.yaml --out DIR --param range_m \
         --values 2,8,32
         sweep.csv; params: range_m | num_tones | delta_f_hz | spacing_m
-        (single-source scenarios; range sweeps recalibrate at each range)
+        (single-source scenarios; range sweeps recalibrate at each range;
+        every delta_f_hz value must keep duration_s a whole number of
+        envelope periods)
     combbeam calibrate --config scenario.yaml
         prints the fitted axis mapping and held-out probe residuals
 
-Exit codes: 0 success, 1 configuration errors, 2 runtime (math/model)
-errors, 3 I/O errors. CSV files are written atomically (temp file + rename)
-with full-precision repr() floats and no timestamps, so reruns are
-byte-identical. COMBBEAM_THREADS caps the sweep worker pool (results are
+The envelope repeats every 1/delta_f_hz and is sampled on sim.grid_points
+points over duration_s; a duration that is not a whole number of periods is
+a configuration error. Exit codes: 0 success, 1 configuration errors, 2
+runtime (math/model) errors, 3 I/O errors. CSV files are written atomically
+(temp file + rename) with full-precision repr() floats and no timestamps, so
+reruns are byte-identical. COMBBEAM_THREADS caps the sweep worker pool (results are
 ordered by input value, independent of thread count).
 """
 
@@ -79,7 +83,6 @@ from .geometry import (
     Vec3,
     azimuth_of,
     source_from_az_range,
-    uv_to_direction,
 )
 from .kspace import (
     SimConfig,
@@ -90,7 +93,9 @@ from .kspace import (
     calibrate_axis,
     default_time_grid,
     find_peaks,
+    probe_scene,
     run_beamform,
+    whole_periods,
 )
 from .propagation import NoiseSpec, PhaseSign, scene_element_phasors
 from .waveform import CombSpec
@@ -272,6 +277,13 @@ def _parse_source(entry: Any, path: str) -> Source:
     )
 
 
+def _check_duration(comb: CombSpec, what: str) -> None:
+    try:
+        whole_periods(comb.duration_s, comb.delta_f_hz)
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}") from e
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario document."""
     try:
@@ -297,6 +309,7 @@ def parse_config(text: str) -> ScenarioConfig:
         )
     except ValueError as e:
         raise ConfigError(f"comb: {e}") from e
+    _check_duration(comb, "comb.duration_s")
 
     ad = _mapping(root["array"], "array")
     _no_extra(ad, "array", {"kind", "m", "dx_m", "n", "dy_m", "tuning_order"})
@@ -519,6 +532,14 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
               values: list) -> None:
     if len(config.scene.sources) != 1:
         raise ConfigError("sweep needs a single-source scenario")
+    if param == "delta_f_hz":
+        for value in values:
+            try:
+                comb = replace(config.comb, delta_f_hz=value)
+            except ValueError as e:
+                raise ConfigError(f"--values: {e}") from e
+            _check_duration(comb, f"--values: delta_f_hz={value!r} with "
+                                  "comb.duration_s")
     base = config.scene.sources[0]
     if base.is_farfield:
         true_az = math.degrees(math.asin(base.direction[0]))
@@ -570,15 +591,9 @@ def cmd_calibrate(config: ScenarioConfig) -> None:
     tuning = assign_tuning(geometry, comb)
     grid = default_time_grid(comb, sim.grid_points)
     for u in _HELD_OUT_PROBES:
-        if sim.calibration_range_m is None:
-            scene = Scene(sources=(Source.farfield(u, 0.0),),
-                          model="far-field")
-        else:
-            r = sim.calibration_range_m
-            ux, uy, uz = uv_to_direction(u, 0.0)
-            scene = Scene(sources=(Source.point(Vec3(r * ux, r * uy, r * uz)),))
-        phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
-                                        sim.phase_sign)
+        phasors = scene_element_phasors(
+            probe_scene(u, sim.calibration_range_m), geometry, comb, tuning,
+            f_lo, sim.phase_sign)
         out = apply_calibration(beamform_envelope(phasors, grid), cal)
         top = find_peaks(out, 0.5, 0.0)[0]
         residual = top.u - u
@@ -613,11 +628,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        try:
-            text = Path(args.config).read_text()
-        except OSError:
-            raise
-        config = parse_config(text)
+        config = parse_config(Path(args.config).read_text())
         if args.grid_points is not None:
             try:
                 config = replace(config,

@@ -33,9 +33,12 @@ __all__ = [
     "u_to_azimuth",
     "default_time_grid",
     "complex_field",
+    "whole_periods",
+    "periodic_field",
     "beamform_envelope",
     "beamform_rf",
     "apply_calibration",
+    "probe_scene",
     "calibrate_axis",
     "Peak",
     "find_peaks",
@@ -131,13 +134,71 @@ def default_time_grid(comb: CombSpec, grid_points: int = 4096) -> np.ndarray:
 
 
 def complex_field(phasors: PhasorSet, time_s) -> np.ndarray:
-    """Coherent element sum Σ_e a_e·exp(j·2π·ν_e·t) at each time sample."""
+    """Coherent element sum Σ_e a_e·exp(j·2π·ν_e·t) at each time sample.
+
+    Dense element × sample evaluation on any time grid; the estimation
+    pipeline uses periodic_field instead and keeps this as its oracle.
+    """
     t = np.asarray(time_s, dtype=float)
     if t.size == 0:
         raise ValueError("time grid is empty")
     amps = phasors.amplitude_vector()
     nu = phasors.baseband_vector()
     return (amps[None, :] * np.exp(2j * np.pi * nu[None, :] * t[:, None])).sum(axis=1)
+
+
+def _turns(cycles) -> np.ndarray:
+    """exp(j·2π·c), with c reduced to [−0.5, 0.5] cycles before scaling."""
+    c = np.asarray(cycles, dtype=float)
+    return np.exp(2j * np.pi * (c - np.rint(c)))
+
+
+def whole_periods(span_s: float, delta_f_hz: float) -> int:
+    """Number of envelope periods 1/Δf in a time span; ValueError unless it
+    is a whole number ≥ 1 (to 1e-9 of a period per period)."""
+    periods = span_s * delta_f_hz
+    whole = round(periods) if math.isfinite(periods) else 0
+    if whole < 1 or not math.isclose(periods, whole, rel_tol=1e-9):
+        raise ValueError(
+            f"time span {span_s!r} s covers {periods!r} envelope periods of "
+            f"1/Δf = {1.0 / delta_f_hz!r} s; it must be a whole number >= 1"
+        )
+    return whole
+
+
+def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
+    """Σ_e a_e·exp(j2πν_e t) on a uniform grid of whole envelope periods,
+    by one inverse FFT.
+
+    The tones sit on the Δf lattice, ν_e = ν_min + m_e·Δf. On the grid
+    t_k = t_0 + k·dt (G points spanning P = Δf·G·dt whole periods)
+    exp(j2π·m_e·Δf·k·dt) = exp(j2π·((m_e·P) mod G)·k/G), so each
+    a_e·exp(j2π(ν_e − ν_min)t_0) lands in one FFT bin (bins may collide) and
+    the common factor exp(j2π·ν_min·t_k) restores the absolute phase. Agrees
+    with complex_field to rounding. Raises ValueError for a grid that is
+    not uniform, does not span whole periods, or tones off the Δf lattice.
+    """
+    t = np.asarray(time_s, dtype=float)
+    g = t.size
+    if t.ndim != 1 or g < 2:
+        raise ValueError("time grid needs at least 2 samples")
+    dt = (float(t[-1]) - float(t[0])) / (g - 1)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("time grid must increase")
+    if np.abs(t - (t[0] + np.arange(g) * dt)).max() > 1e-9 * g * dt:
+        raise ValueError("time grid is not uniform")
+    periods = whole_periods(g * dt, phasors.delta_f_hz)
+    amps = phasors.amplitude_vector()
+    nu = phasors.baseband_vector()
+    nu_min = float(nu.min())
+    steps = (nu - nu_min) / phasors.delta_f_hz
+    m = np.rint(steps)
+    if np.abs(steps - m).max() > 1e-6:
+        raise ValueError("baseband tones are not spaced by multiples of Δf")
+    bins = np.zeros(g, dtype=complex)
+    np.add.at(bins, (m.astype(np.int64) * periods) % g,
+              amps * _turns((nu - nu_min) * t[0]))
+    return g * np.fft.ifft(bins) * _turns(nu_min * t)
 
 
 @dataclass
@@ -169,11 +230,13 @@ def beamform_envelope(phasors: PhasorSet, time_s,
                       trial: int = 0) -> BeamformOutput:
     """Envelope |Σ_e a_e·exp(j2πν_e t) (+ noise)| over a time grid.
 
-    The result is independent of the common mixer LO (a pure time shift of
-    nothing: only tone differences enter) and periodic with 1/Δf.
+    The grid must be uniform and span a whole number of periods 1/Δf
+    (see periodic_field); the envelope repeats with that period, so the
+    samples wrap around. Without noise the result is independent of the
+    common mixer LO: only tone differences enter |·|.
     """
     t = np.asarray(time_s, dtype=float)
-    z = complex_field(phasors, t)
+    z = periodic_field(phasors, t)
     if noise is not None and noise.sigma > 0:
         z = z + complex_noise(noise, len(phasors), t.size, trial).sum(axis=0)
     return BeamformOutput(time_s=t, envelope=np.abs(z), phasors=phasors)
@@ -229,7 +292,9 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
                min_separation_u: float = 0.0) -> list[Peak]:
     """Locate, refine, and sort envelope peaks.
 
-    Grid samples are treated as circular (the envelope repeats). Local maxima
+    The grid spans whole envelope periods (beamform_envelope accepts no
+    other), so its samples wrap around: the last sample neighbours the
+    first, and no grid edge can pose as a peak. Local maxima
     at or above threshold_fraction·max are refined with a 3-point quadratic
     fit, mapped through the attached calibration, sorted by magnitude, and
     thinned so no two kept peaks sit closer than min_separation_u on the
@@ -288,17 +353,31 @@ def _grid_peak_time(out: BeamformOutput) -> float:
     return float((float(out.time_s[0]) + (i + p) * dt) % (n * dt))
 
 
+def probe_scene(u: float, range_m: float | None = None) -> Scene:
+    """One unit calibration probe at direction cosine u in the y = 0 plane:
+    a plane wave, or a point source at ``range_m`` from the origin."""
+    if range_m is None:
+        return Scene(sources=(Source.farfield(u, 0.0),), model="far-field")
+    if not (math.isfinite(range_m) and range_m > 0):
+        raise ValueError(f"probe range must be > 0, got {range_m!r}")
+    ux, uy, uz = uv_to_direction(u, 0.0)
+    return Scene(sources=(Source.point(Vec3(range_m * ux, range_m * uy,
+                                            range_m * uz)),))
+
+
 def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
                    sign: PhaseSign = PhaseSign.DELAY, grid_points: int = 4096,
                    reference_range_m: float | None = None) -> AxisCalibration:
     """Two-probe time→u calibration.
 
-    Simulates probes at u = 0 and u = +0.5, reads off their envelope peak
-    times, and solves for the offset t0 (boresight peak) and the slope sign
-    (whichever sign maps the second probe to +0.5). Probes are plane waves
-    unless ``reference_range_m`` is given, in which case they are point
-    sources at that range — use this when targets sit close enough that the
-    range-dependent part of the arrival time matters.
+    The offset t0 is the envelope peak time of a boresight (u = 0) probe and
+    the slope sign is whichever sign maps a u = +0.5 probe's peak time to
+    +0.5. Probes are plane waves unless ``reference_range_m`` is given, in
+    which case they are point sources at that range — use this when targets
+    sit close enough that the range-dependent part of the arrival time
+    matters. A boresight plane wave reaches every element in phase and the
+    tones are consecutive, so its envelope peaks exactly at t ≡ 0 mod 1/Δf:
+    plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
     """
     if comb.num_tones < 2:
         raise ValueError("axis calibration needs at least 2 comb tones")
@@ -306,23 +385,13 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     grid = default_time_grid(comb, grid_points)
 
     def probe_peak_time(u: float) -> float:
-        if reference_range_m is None:
-            scene = Scene(sources=(Source.farfield(u, 0.0),), model="far-field")
-        else:
-            r = reference_range_m
-            if not (math.isfinite(r) and r > 0):
-                raise ValueError(
-                    f"reference_range_m must be > 0, got {reference_range_m!r}"
-                )
-            ux, uy, uz = uv_to_direction(u, 0.0)
-            pos = Vec3(r * ux, r * uy, r * uz)
-            scene = Scene(sources=(Source.point(pos),), model="exact-spherical")
+        scene = probe_scene(u, reference_range_m)
         phasors = scene_element_phasors(scene, geometry, comb, tuning,
                                         f_lo_hz, sign)
         return _grid_peak_time(beamform_envelope(phasors, grid))
 
     period = comb.period_s
-    t0 = probe_peak_time(0.0) % period
+    t0 = 0.0 if reference_range_m is None else probe_peak_time(0.0) % period
     t_half = probe_peak_time(0.5)
     best_sign, best_err = 1, float("inf")
     for s in (-1, 1):
@@ -347,14 +416,29 @@ class SimConfig:
     calibration_range_m: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.grid_points, int) or self.grid_points < 2:
+        if not isinstance(self.grid_points, int) or self.grid_points < 3:
             raise ValueError(
-                f"grid_points must be an int >= 2, got {self.grid_points!r}"
+                f"grid_points must be an int >= 3, got {self.grid_points!r}"
             )
+        if self.lo_hz is not None and not (math.isfinite(self.lo_hz)
+                                           and self.lo_hz >= 0):
+            raise ValueError(f"lo_hz must be finite and >= 0, got {self.lo_hz!r}")
         if not (0.0 < self.threshold_fraction < 1.0):
             raise ValueError("threshold_fraction must be in (0, 1)")
-        if self.min_separation_u is not None and self.min_separation_u < 0:
-            raise ValueError("min_separation_u must be >= 0")
+        if self.min_separation_u is not None and not (
+                math.isfinite(self.min_separation_u)
+                and self.min_separation_u >= 0):
+            raise ValueError(
+                "min_separation_u must be finite and >= 0, "
+                f"got {self.min_separation_u!r}"
+            )
+        if self.calibration_range_m is not None and not (
+                math.isfinite(self.calibration_range_m)
+                and self.calibration_range_m > 0):
+            raise ValueError(
+                "calibration_range_m must be finite and > 0, "
+                f"got {self.calibration_range_m!r}"
+            )
 
 
 def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,

@@ -249,3 +249,48 @@ def test_seed_override_changes_noise(tmp_path):
 
     assert run(1, "a") == run(1, "b")
     assert run(1, "c") != run(2, "d")
+
+
+def test_parse_rejects_partial_period_duration():
+    text = scenario_path("single_source").read_text()
+    for duration, periods in (("0.0000073", "1.46"), ("0.0000031", "0.62")):
+        with pytest.raises(ConfigError, match=rf"comb\.duration_s.*{periods}"):
+            parse_config(text.replace("0.000005", duration))
+    two = parse_config(text.replace("0.000005", "0.00001"))
+    assert two.comb.duration_s == 1e-5
+
+
+def test_sweep_delta_f_needs_whole_periods(tmp_path, capsys):
+    # a 10 µs period on the 5 µs window once gave az_error_deg = 90.82, exit 0
+    rc = main(["sweep", "--config", str(scenario_path("single_source")),
+               "--out", str(tmp_path), "--param", "delta_f_hz",
+               "--values", "100000"])
+    assert rc == 1
+    assert "comb.duration_s" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+    rc = main(["sweep", "--config", str(scenario_path("single_source")),
+               "--out", str(tmp_path), "--param", "delta_f_hz",
+               "--values", "200000,400000"])
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert all(abs(float(r[1])) < 5.0 for r in rows)  # not the mirror
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_separation_u", float("nan")),
+    ("calibration_range_m", float("nan")),
+    ("lo_hz", -1.0),
+    ("lo_hz", float("inf")),
+    ("grid_points", 2),
+])
+def test_bad_sim_field_is_a_config_error(tmp_path, capsys, field, value):
+    # min_separation_u: .nan once ran and found 1 peak of 3
+    import yaml
+
+    data = yaml.safe_load(scenario_path("three_sources").read_text())
+    data["sim"][field] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert field in capsys.readouterr().err

@@ -397,6 +397,19 @@ def test_sim_config_validation():
         SimConfig(min_separation_u=-0.5)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("min_separation_u", math.nan), ("min_separation_u", math.inf),
+    ("min_separation_u", -0.1),
+    ("calibration_range_m", math.nan), ("calibration_range_m", math.inf),
+    ("calibration_range_m", 0.0),
+    ("lo_hz", math.nan), ("lo_hz", math.inf), ("lo_hz", -1.0),
+    ("grid_points", 2),
+])
+def test_sim_config_rejects_each_bad_field(field, bad):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: bad})
+
+
 def test_complex_field_rejects_empty_grid(demo_comb, demo_geometry,
                                           demo_scene):
     ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,

@@ -1,0 +1,187 @@
+"""The FFT envelope synthesizer against the dense element × sample sum,
+whole-period grid checks, and the closed-form plane-wave calibration."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from combbeam.analysis import brute_force_peak
+from combbeam.geometry import Scene, Source, linear_array
+from combbeam.kspace import (
+    SimConfig,
+    assign_tuning,
+    beamform_envelope,
+    calibrate_axis,
+    complex_field,
+    default_time_grid,
+    periodic_field,
+    probe_scene,
+    run_beamform,
+    whole_periods,
+)
+from combbeam.propagation import (
+    ElementPhasor,
+    NoiseSpec,
+    PhaseSign,
+    PhasorSet,
+    complex_noise,
+    scene_element_phasors,
+)
+from combbeam.waveform import CombSpec
+
+from conftest import D21
+
+F0 = 19.0008e9
+DF = 0.2e6
+
+
+def _random_phasors(rng, n: int, descending: bool, f_lo: float) -> PhasorSet:
+    tones = range(n, 0, -1) if descending else range(1, n + 1)
+    amps = rng.uniform(0.0, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    return PhasorSet(
+        phasors=tuple(ElementPhasor(e, tone, complex(a), F0 + tone * DF - f_lo)
+                      for e, (tone, a) in enumerate(zip(tones, amps))),
+        f_lo_hz=f_lo, delta_f_hz=DF)
+
+
+@given(n=st.integers(2, 64), descending=st.booleans(),
+       f_lo=st.sampled_from([0.0, F0]) | st.floats(1e9, 25e9),
+       t0_periods=st.floats(-1.0, 1.0), periods=st.integers(1, 3),
+       grid_points=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_envelope_matches_dense_sum(n, descending, f_lo, t0_periods, periods,
+                                    grid_points, seed):
+    # grid_points < n·periods makes tones share FFT bins
+    ps = _random_phasors(np.random.default_rng(seed), n, descending, f_lo)
+    period = 1.0 / DF
+    t = t0_periods * period + np.arange(grid_points) * (
+        periods * period / grid_points)
+    dense = complex_field(ps, t)
+    bound = float(np.abs(ps.amplitude_vector()).sum())
+    assert np.abs(periodic_field(ps, t) - dense).max() <= 1e-9 * bound
+    env = beamform_envelope(ps, t).envelope
+    assert np.abs(env - np.abs(dense)).max() <= 1e-9 * bound
+
+
+@pytest.mark.parametrize("f_lo", [0.0, 19.0e9, F0])
+def test_noisy_envelope_adds_noise_to_the_dense_field(f_lo):
+    ps = _random_phasors(np.random.default_rng(11), 21, False, f_lo)
+    t = default_time_grid(CombSpec(F0, DF, 21, 5e-6), 1024)
+    noise = NoiseSpec(sigma=0.7, seed=3)
+    env = beamform_envelope(ps, t, noise, trial=2).envelope
+    w = complex_noise(noise, 21, t.size, 2).sum(axis=0)
+    want = np.abs(complex_field(ps, t) + w)
+    bound = float(np.abs(ps.amplitude_vector()).sum())
+    assert np.abs(env - want).max() <= 1e-9 * bound
+
+
+@pytest.mark.parametrize("grid, periods", [
+    (np.arange(100) * (3.1e-6 / 100), "0.62"),
+    (np.arange(100) * (7.3e-6 / 100), "1.46"),
+])
+def test_envelope_rejects_partial_periods(grid, periods):
+    ps = _random_phasors(np.random.default_rng(0), 5, False, 19e9)
+    with pytest.raises(ValueError, match=periods):
+        beamform_envelope(ps, grid)
+
+
+def test_envelope_rejects_non_uniform_and_tiny_grids():
+    ps = _random_phasors(np.random.default_rng(0), 5, False, 19e9)
+    grid = np.arange(64) * (5e-6 / 64)
+    bent = grid.copy()
+    bent[10] += 0.3 * grid[1]
+    with pytest.raises(ValueError, match="uniform"):
+        beamform_envelope(ps, bent)
+    with pytest.raises(ValueError):
+        beamform_envelope(ps, grid[::-1])
+    with pytest.raises(ValueError):
+        beamform_envelope(ps, grid[:1])
+
+
+def test_envelope_rejects_tones_off_the_lattice():
+    ps = PhasorSet(phasors=(ElementPhasor(0, 1, 1 + 0j, 1e6),
+                            ElementPhasor(1, 2, 1 + 0j, 1.25e6)),
+                   f_lo_hz=19e9, delta_f_hz=DF)
+    with pytest.raises(ValueError, match="Δf"):
+        beamform_envelope(ps, np.arange(64) * (5e-6 / 64))
+
+
+def test_whole_periods():
+    assert whole_periods(5e-6, 0.2e6) == 1
+    assert whole_periods(15e-6, 0.2e6) == 3
+    for span in (3.1e-6, 7.3e-6, 0.0, math.inf):
+        with pytest.raises(ValueError, match="periods"):
+            whole_periods(span, 0.2e6)
+
+
+def _far_source_run(duration_s, u):
+    comb = CombSpec(f0_hz=F0, delta_f_hz=DF, num_tones=21,
+                    duration_s=duration_s)
+    scene = Scene(sources=(Source.farfield(u, 0.0),), model="far-field")
+    return run_beamform(scene, linear_array(21, D21), comb,
+                        SimConfig(lo_hz=19e9))
+
+
+def test_partial_period_duration_is_rejected_not_misread():
+    # 3.1 µs once reported only a grid-edge artefact at u = 0.7606 for a
+    # source at u = 0.6; 7.3 µs reported u = 0 at 23.51, above N·A = 21
+    with pytest.raises(ValueError, match="0.62"):
+        _far_source_run(3.1e-6, 0.6)
+    with pytest.raises(ValueError, match="1.46"):
+        _far_source_run(7.3e-6, 0.0)
+
+
+@pytest.mark.parametrize("duration_s", [5e-6, 10e-6, 15e-6])
+def test_whole_period_durations_recover_the_source(duration_s):
+    out = _far_source_run(duration_s, 0.6)
+    assert out.peaks[0].u == pytest.approx(0.6, abs=1e-4)
+    assert out.peaks[0].magnitude <= 21.0 * (1 + 1e-12)
+    out = _far_source_run(duration_s, 0.0)
+    assert out.peaks[0].u == pytest.approx(0.0, abs=1e-9)
+    assert out.peaks[0].magnitude == pytest.approx(21.0, rel=1e-12)
+    assert out.peaks[0].magnitude <= 21.0 * (1 + 1e-12)
+
+
+@given(n=st.integers(2, 40), dx=st.floats(1e-3, 0.05),
+       descending=st.booleans(), advance=st.booleans(),
+       delta_f=st.floats(5e4, 1e6),
+       f_lo=st.sampled_from([0.0, F0, 18.37e9]))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_offset_matches_brute_force_peak(n, dx, descending,
+                                                     advance, delta_f, f_lo):
+    comb = CombSpec(f0_hz=F0, delta_f_hz=delta_f, num_tones=n,
+                    duration_s=1.0 / delta_f)
+    geom = linear_array(n, dx, tuning_order="descending" if descending
+                        else "ascending")
+    sign = PhaseSign.ADVANCE if advance else PhaseSign.DELAY
+    cal = calibrate_axis(geom, comb, f_lo, sign)
+    assert cal.t0_s == 0.0
+    ps = scene_element_phasors(probe_scene(0.0), geom, comb,
+                               assign_tuning(geom, comb), f_lo, sign)
+    t_pk, mag = brute_force_peak(ps)
+    # the boresight envelope is a global maximum at t0 to rounding ...
+    at_t0 = float(np.abs(complex_field(ps, np.array([cal.t0_s])))[0])
+    assert at_t0 >= mag * (1.0 - 1e-12)
+    # ... and the golden-section search lands on it to the time resolution a
+    # double-precision envelope has on its flat top, where |z| falls as
+    # N·(1 − (π·Δf·t)²·(N² − 1)/6): a few sqrt(eps)/N of a period (1.3e-8/N
+    # was the worst of 400 random cases)
+    period = comb.period_s
+    d = (t_pk - cal.t0_s) % period
+    assert min(d, period - d) <= 1e-7 / n * period
+
+
+def test_point_source_calibration_still_simulates_boresight(demo_comb,
+                                                            demo_geometry):
+    cal = calibrate_axis(demo_geometry, demo_comb, 19e9,
+                         reference_range_m=2.0)
+    assert 0.0 < cal.t0_s < demo_comb.period_s
+    ps = scene_element_phasors(probe_scene(0.0, 2.0), demo_geometry,
+                               demo_comb, assign_tuning(demo_geometry,
+                                                        demo_comb), 19e9)
+    t_pk, _ = brute_force_peak(ps)
+    d = abs(t_pk - cal.t0_s) % demo_comb.period_s
+    assert min(d, demo_comb.period_s - d) < demo_comb.period_s / 4096
