@@ -357,21 +357,16 @@ def parse_config(text: str) -> ScenarioConfig:
                               seed=_int(nd, "seed", "sim.noise", 0))
         except ValueError as e:
             raise ConfigError(f"sim.noise: {e}") from e
-    lo = _num(sd, "lo_hz", "sim", None) if "lo_hz" in sd else None
-    cal_range = (_num(sd, "calibration_range_m", "sim")
-                 if "calibration_range_m" in sd else None)
-    min_sep = (_num(sd, "min_separation_u", "sim")
-               if "min_separation_u" in sd else None)
     try:
         sim = SimConfig(
             grid_points=_int(sd, "grid_points", "sim", 4096),
-            lo_hz=lo,
+            lo_hz=_num(sd, "lo_hz", "sim", None),
             phase_sign=PhaseSign(_choice(sd, "phase_sign", "sim",
                                          ("delay", "advance"), "delay")),
             noise=noise,
             threshold_fraction=_num(sd, "threshold_fraction", "sim", 0.5),
-            min_separation_u=min_sep,
-            calibration_range_m=cal_range,
+            min_separation_u=_num(sd, "min_separation_u", "sim", None),
+            calibration_range_m=_num(sd, "calibration_range_m", "sim", None),
         )
     except ValueError as e:
         raise ConfigError(f"sim: {e}") from e
@@ -473,11 +468,9 @@ def _write_phase_map(config: ScenarioConfig, out_dir: Path,
     src = config.scene.sources[0]
     freq = config.comb.center_frequency_hz
     pm = phase_map(config.geometry, src, freq)
-    rows = []
-    for mi in range(pm.phase_deg.shape[0]):
-        for ni in range(pm.phase_deg.shape[1]):
-            rows.append((mi, ni, pm.x_m[mi], pm.y_m[ni],
-                         pm.phase_deg[mi, ni]))
+    rows = [(mi, ni, pm.x_m[mi], pm.y_m[ni], pm.phase_deg[mi, ni])
+            for mi in range(pm.phase_deg.shape[0])
+            for ni in range(pm.phase_deg.shape[1])]
     write_csv_atomic(out_dir / "phase_map.csv",
                      ["m", "n", "x_m", "y_m", "phase_deg"], rows)
     if with_curvature:
@@ -532,37 +525,40 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
               values: list) -> None:
     if len(config.scene.sources) != 1:
         raise ConfigError("sweep needs a single-source scenario")
-    if param == "delta_f_hz":
-        for value in values:
-            try:
-                comb = replace(config.comb, delta_f_hz=value)
-            except ValueError as e:
-                raise ConfigError(f"--values: {e}") from e
-            _check_duration(comb, f"--values: delta_f_hz={value!r} with "
-                                  "comb.duration_s")
     base = config.scene.sources[0]
     if base.is_farfield:
+        if param == "range_m":
+            raise ValueError("range sweep needs a point source")
         true_az = math.degrees(math.asin(base.direction[0]))
     else:
         assert base.position is not None
         true_az = azimuth_of(base.position)
 
-    def run_point(value) -> tuple:
+    # build every point before running any, so a bad value fails early
+    points = []
+    for value in values:
         comb, geometry, scene, sim = (config.comb, config.geometry,
                                       config.scene, config.sim)
-        if param == "range_m":
-            if base.is_farfield:
-                raise ValueError("range sweep needs a point source")
-            scene = Scene(sources=(source_from_az_range(
-                true_az, float(value), base.amplitude, base.phase_rad),))
-            sim = replace(sim, calibration_range_m=float(value))
-        elif param == "num_tones":
-            comb = replace(comb, num_tones=int(value))
-            geometry = replace(geometry, m=int(value))
-        elif param == "delta_f_hz":
-            comb = replace(comb, delta_f_hz=float(value))
-        elif param == "spacing_m":
-            geometry = replace(geometry, dx_m=float(value))
+        try:
+            if param == "range_m":
+                scene = Scene(sources=(source_from_az_range(
+                    true_az, float(value), base.amplitude, base.phase_rad),))
+                sim = replace(sim, calibration_range_m=float(value))
+            elif param == "num_tones":
+                comb = replace(comb, num_tones=int(value))
+                geometry = replace(geometry, m=int(value))
+            elif param == "delta_f_hz":
+                comb = replace(comb, delta_f_hz=float(value))
+            elif param == "spacing_m":
+                geometry = replace(geometry, dx_m=float(value))
+        except ValueError as e:
+            raise ConfigError(f"--values: {param}={value!r}: {e}") from e
+        _check_duration(comb, f"--values: {param}={value!r} with "
+                              "comb.duration_s")
+        points.append((value, comb, geometry, scene, sim))
+
+    def run_point(point: tuple) -> tuple:
+        value, comb, geometry, scene, sim = point
         out = run_beamform(scene, geometry, comb, sim)
         if not out.peaks:
             raise ValueError(f"sweep point {param}={value}: no peak found")
@@ -570,8 +566,8 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
         return (value, top.azimuth_deg - true_az, top.magnitude,
                 peak_width_u(out, top))
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(values))) as pool:
-        rows = list(pool.map(run_point, values))
+    with ThreadPoolExecutor(max_workers=_worker_count(len(points))) as pool:
+        rows = list(pool.map(run_point, points))
     write_csv_atomic(out_dir / "sweep.csv",
                      ["value", "az_error_deg", "peak_magnitude", "width_u"],
                      rows)

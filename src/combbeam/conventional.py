@@ -15,12 +15,9 @@ from typing import Literal
 
 import numpy as np
 
-from .geometry import ArrayGeometry, Scene, Source, Vec3, element_positions_array
-from .propagation import (
-    PhaseSign,
-    received_phase_exact,
-    received_phase_farfield,
-)
+from .geometry import (ArrayGeometry, Scene, Source, element_positions_array,
+                       uv_to_direction)
+from .propagation import PhaseSign, element_field, received_phase
 
 __all__ = [
     "ElementPattern",
@@ -77,15 +74,10 @@ class SteeringVector:
     wavelength_m: float
 
 
-def _check_uv(u: float, v: float) -> None:
-    if u * u + v * v > 1.0 + 1e-12:
-        raise ValueError(f"(u, v) outside the unit disk: u={u}, v={v}")
-
-
 def steering_vector(geometry: ArrayGeometry, u: float, v: float,
                     wavelength_m: float) -> SteeringVector:
     """a_mn = exp(−j·(2π/λ)·(m·dx·u + n·dy·v)), shape (M, N)."""
-    _check_uv(u, v)
+    uv_to_direction(u, v)    # raises outside the unit disk
     if not (math.isfinite(wavelength_m) and wavelength_m > 0):
         raise ValueError(f"wavelength_m must be > 0, got {wavelength_m!r}")
     m = np.arange(geometry.m)[:, None] * geometry.dx_m
@@ -93,19 +85,6 @@ def steering_vector(geometry: ArrayGeometry, u: float, v: float,
     phase = (-2.0 * math.pi / wavelength_m) * (m * u + n * v)
     return SteeringVector(weights=np.exp(1j * phase), u=u, v=v,
                           wavelength_m=wavelength_m)
-
-
-def _element_phase(source: Source, model: str, pos: Vec3, freq_hz: float,
-                   sign: PhaseSign) -> float:
-    if model == "far-field" or source.is_farfield:
-        if source.is_farfield:
-            plane = source
-        else:
-            du, dv, _ = source.direction_cosines()
-            plane = Source.farfield(du, dv, amplitude=source.amplitude,
-                                    phase_rad=source.phase_rad)
-        return received_phase_farfield(plane, pos, freq_hz, sign)
-    return received_phase_exact(source, pos, freq_hz, sign)
 
 
 def scene_snapshot(scene: Scene, geometry: ArrayGeometry,
@@ -116,16 +95,8 @@ def scene_snapshot(scene: Scene, geometry: ArrayGeometry,
     yields exactly amplitude·conj-matched steering: the matched beamformer
     output is M·N·amplitude.
     """
-    positions = element_positions_array(geometry)
-    snap = np.zeros(geometry.num_elements, dtype=complex)
-    for src in scene.sources:
-        if src.amplitude == 0.0:
-            continue
-        for e in range(geometry.num_elements):
-            pos = Vec3.from_array(positions[e])
-            phi = _element_phase(src, scene.model, pos, freq_hz,
-                                 PhaseSign.ADVANCE)
-            snap[e] += src.amplitude * complex(math.cos(phi), math.sin(phi))
+    snap = element_field(scene, element_positions_array(geometry), freq_hz,
+                         PhaseSign.ADVANCE)
     return snap.reshape(geometry.m, geometry.n)
 
 
@@ -181,18 +152,13 @@ def phase_map(geometry: ArrayGeometry, source: Source,
     Far-field sources produce an exactly planar map; point sources add
     spherical curvature on top of the plane.
     """
-    positions = element_positions_array(geometry)
-    phases = np.empty(geometry.num_elements)
-    for e in range(geometry.num_elements):
-        pos = Vec3.from_array(positions[e])
-        if source.is_farfield:
-            phi = received_phase_farfield(source, pos, freq_hz, PhaseSign.DELAY)
-        else:
-            phi = received_phase_exact(source, pos, freq_hz, PhaseSign.DELAY)
-        phases[e] = math.degrees(phi)
+    phi = received_phase(source, element_positions_array(geometry), freq_hz,
+                         PhaseSign.DELAY, source.is_farfield)
+    deg = np.degrees(phi)
+    deg -= 360.0 * np.ceil(deg / 360.0 - 0.5)   # into (−180, 180]
     x = geometry.origin.x + np.arange(geometry.m) * geometry.dx_m
     y = geometry.origin.y + np.arange(geometry.n) * geometry.dy_m
-    return PhaseMap(phase_deg=phases.reshape(geometry.m, geometry.n),
+    return PhaseMap(phase_deg=deg.reshape(geometry.m, geometry.n),
                     x_m=x, y_m=y, freq_hz=freq_hz)
 
 

@@ -51,11 +51,6 @@ class Vec3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @staticmethod
-    def from_array(a) -> "Vec3":
-        x, y, z = (float(v) for v in a)
-        return Vec3(x, y, z)
-
 
 ORIGIN = Vec3(0.0, 0.0, 0.0)
 
@@ -220,7 +215,7 @@ def element_positions_array(geometry: ArrayGeometry) -> np.ndarray:
 
 def element_positions(geometry: ArrayGeometry) -> list[Vec3]:
     """Element positions as Vec3, same ordering as the array form."""
-    return [Vec3.from_array(row) for row in element_positions_array(geometry)]
+    return [Vec3(*row) for row in element_positions_array(geometry).tolist()]
 
 
 def array_center(geometry: ArrayGeometry) -> Vec3:

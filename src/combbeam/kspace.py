@@ -283,6 +283,16 @@ def _quadratic_peak(ym1: float, y0: float, yp1: float) -> tuple[float, float]:
     return p, y0 - 0.25 * (ym1 - yp1) * p
 
 
+def _refine_peak(env: np.ndarray, time_s: np.ndarray,
+                 i: int) -> tuple[float, float]:
+    """Quadratic-vertex time and height of the envelope peak at sample i;
+    the grid spans whole periods, so neighbours and time wrap around."""
+    n = env.size
+    p, height = _quadratic_peak(env[(i - 1) % n], env[i], env[(i + 1) % n])
+    dt = float(time_s[1] - time_s[0])
+    return float((float(time_s[0]) + (i + p) * dt) % (n * dt)), height
+
+
 def _circular_u_distance(a: float, b: float) -> float:
     d = abs(a - b) % 2.0
     return min(d, 2.0 - d)
@@ -325,14 +335,11 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
     is_max = (env > prev) & (env >= nxt)
     if not is_max.any():
         raise ValueError("envelope has no isolated local maximum")
-    dt = float(out.time_s[1] - out.time_s[0])
-    span = n * dt
     peaks: list[Peak] = []
     for i in np.flatnonzero(is_max):
-        p, height = _quadratic_peak(env[(i - 1) % n], env[i], env[(i + 1) % n])
+        t_pk, height = _refine_peak(env, out.time_s, int(i))
         if height < threshold_fraction * gmax:
             continue
-        t_pk = (float(out.time_s[0]) + (float(i) + p) * dt) % span
         u_pk = float(time_to_u(out.calibration, t_pk))
         peaks.append(Peak(time_s=t_pk, u=u_pk,
                           azimuth_deg=u_to_azimuth(u_pk), magnitude=height))
@@ -342,15 +349,6 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
         if all(_circular_u_distance(pk.u, q.u) >= min_separation_u for q in kept):
             kept.append(pk)
     return kept
-
-
-def _grid_peak_time(out: BeamformOutput) -> float:
-    env = out.envelope
-    n = env.size
-    i = int(np.argmax(env))
-    p, _ = _quadratic_peak(env[(i - 1) % n], env[i], env[(i + 1) % n])
-    dt = float(out.time_s[1] - out.time_s[0])
-    return float((float(out.time_s[0]) + (i + p) * dt) % (n * dt))
 
 
 def probe_scene(u: float, range_m: float | None = None) -> Scene:
@@ -385,20 +383,16 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     grid = default_time_grid(comb, grid_points)
 
     def probe_peak_time(u: float) -> float:
-        scene = probe_scene(u, reference_range_m)
-        phasors = scene_element_phasors(scene, geometry, comb, tuning,
-                                        f_lo_hz, sign)
-        return _grid_peak_time(beamform_envelope(phasors, grid))
+        phasors = scene_element_phasors(probe_scene(u, reference_range_m),
+                                        geometry, comb, tuning, f_lo_hz, sign)
+        env = beamform_envelope(phasors, grid).envelope
+        return _refine_peak(env, grid, int(np.argmax(env)))[0]
 
     period = comb.period_s
     t0 = 0.0 if reference_range_m is None else probe_peak_time(0.0) % period
     t_half = probe_peak_time(0.5)
-    best_sign, best_err = 1, float("inf")
-    for s in (-1, 1):
-        u_est = float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0)))
-        err = abs(u_est - 0.5)
-        if err < best_err:
-            best_sign, best_err = s, err
+    best_sign = min((-1, 1), key=lambda s: abs(
+        float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
     return AxisCalibration(slope_sign=best_sign, t0_s=t0,
                            delta_f_hz=comb.delta_f_hz)
 

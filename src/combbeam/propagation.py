@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .geometry import ArrayGeometry, Scene, Source, Vec3, distance, element_positions
-from .waveform import SPEED_OF_LIGHT, CombSpec, tone_frequency
+from .geometry import (ArrayGeometry, Scene, Source, Vec3, distance,
+                       element_positions_array)
+from .waveform import SPEED_OF_LIGHT, CombSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kspace import TuningPlan
@@ -33,6 +34,8 @@ __all__ = [
     "PhasorSet",
     "NoiseSpec",
     "complex_noise",
+    "received_phase",
+    "element_field",
     "scene_element_phasors",
 ]
 
@@ -50,8 +53,9 @@ def wrap_phase(phi: float) -> float:
     return math.pi if out == -math.pi else out
 
 
-def _freq_checked(freq_hz: float) -> float:
-    if not (math.isfinite(freq_hz) and freq_hz > 0):
+def _freq_checked(freq_hz):
+    """The frequency (Hz, scalar or array) if every value is finite and > 0."""
+    if not np.all(np.isfinite(freq_hz) & (np.asarray(freq_hz) > 0)):
         raise ValueError(f"frequency must be > 0, got {freq_hz!r}")
     return freq_hz
 
@@ -119,39 +123,65 @@ class ElementPhasor:
         return float(np.angle(self.amplitude))
 
 
-@dataclass(frozen=True)
 class PhasorSet:
-    """All element phasors for one scene, plus the mixing parameters."""
+    """All element phasors for one scene, plus the mixing parameters.
 
-    phasors: tuple[ElementPhasor, ...]
-    f_lo_hz: float
-    delta_f_hz: float
+    Held as arrays over elements 0..E−1. Build it from ElementPhasor objects
+    numbered 0..E−1 in order, or with ``from_arrays``; indexing and
+    iteration yield ElementPhasor views.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phasors", tuple(self.phasors))
-        if len(self.phasors) == 0:
+    def __init__(self, phasors: Iterable[ElementPhasor], f_lo_hz: float,
+                 delta_f_hz: float) -> None:
+        ps = tuple(phasors)
+        if [p.element for p in ps] != list(range(len(ps))):
+            raise ValueError("phasors must be numbered 0..E-1 in order")
+        self._fill([p.amplitude for p in ps], [p.tone for p in ps],
+                   [p.baseband_hz for p in ps], f_lo_hz, delta_f_hz)
+
+    @classmethod
+    def from_arrays(cls, amplitudes, tones, baseband_hz, f_lo_hz: float,
+                    delta_f_hz: float) -> "PhasorSet":
+        """From (E,) arrays: amplitudes, 1-based tones, baseband Hz."""
+        ps = cls.__new__(cls)
+        ps._fill(amplitudes, tones, baseband_hz, f_lo_hz, delta_f_hz)
+        return ps
+
+    def _fill(self, amplitudes, tones, baseband_hz, f_lo_hz: float,
+              delta_f_hz: float) -> None:
+        if len(amplitudes) == 0:
             raise ValueError("PhasorSet needs at least one phasor")
-        if not (math.isfinite(self.f_lo_hz) and self.f_lo_hz >= 0):
-            raise ValueError(f"f_lo_hz must be >= 0, got {self.f_lo_hz!r}")
-        if not (math.isfinite(self.delta_f_hz) and self.delta_f_hz > 0):
-            raise ValueError(f"delta_f_hz must be > 0, got {self.delta_f_hz!r}")
+        if not (math.isfinite(f_lo_hz) and f_lo_hz >= 0):
+            raise ValueError(f"f_lo_hz must be >= 0, got {f_lo_hz!r}")
+        if not (math.isfinite(delta_f_hz) and delta_f_hz > 0):
+            raise ValueError(f"delta_f_hz must be > 0, got {delta_f_hz!r}")
+        self.f_lo_hz, self.delta_f_hz = f_lo_hz, delta_f_hz
+        self._amps = np.array(amplitudes, dtype=complex)
+        self._tones = np.array(tones, dtype=int)
+        self._baseband = np.array(baseband_hz, dtype=float)
+
+    @property
+    def phasors(self) -> tuple[ElementPhasor, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.phasors)
+        return len(self._amps)
 
     def __iter__(self) -> Iterator[ElementPhasor]:
-        return iter(self.phasors)
+        return (self[e] for e in range(len(self)))
 
     def __getitem__(self, i: int) -> ElementPhasor:
-        return self.phasors[i]
+        e = range(len(self))[i]
+        return ElementPhasor(e, int(self._tones[e]), complex(self._amps[e]),
+                             float(self._baseband[e]))
 
     def amplitude_vector(self) -> np.ndarray:
         """Complex amplitudes, shape (num_elements,)."""
-        return np.array([p.amplitude for p in self.phasors], dtype=complex)
+        return self._amps.copy()
 
     def baseband_vector(self) -> np.ndarray:
         """Post-mixer frequencies (Hz), shape (num_elements,)."""
-        return np.array([p.baseband_hz for p in self.phasors], dtype=float)
+        return self._baseband.copy()
 
 
 @dataclass(frozen=True)
@@ -185,17 +215,45 @@ def complex_noise(spec: NoiseSpec, num_elements: int, num_samples: int,
     return spec.sigma / math.sqrt(2.0) * (g[0] + 1j * g[1])
 
 
-def _source_phase(source: Source, model: str, element_pos: Vec3,
-                  freq_hz: float, sign: PhaseSign) -> float:
-    if model == "far-field":
-        if source.is_farfield:
-            plane = source
-        else:
-            u, v, _ = source.direction_cosines()
-            plane = Source.farfield(u, v, amplitude=source.amplitude,
-                                    phase_rad=source.phase_rad)
-        return received_phase_farfield(plane, element_pos, freq_hz, sign)
-    return received_phase_exact(source, element_pos, freq_hz, sign)
+def received_phase(source: Source, positions: np.ndarray, freq_hz,
+                   sign: PhaseSign = PhaseSign.DELAY,
+                   farfield: bool = False) -> np.ndarray:
+    """Phase (rad, not wrapped) of one source's field at elements
+    ``positions`` (E, 3), at one frequency or one per element; shape (E,).
+
+    The array form of received_phase_exact and, with ``farfield``,
+    received_phase_farfield, which reduces a point source to the plane wave
+    (u, v, +sqrt(1 − u² − v²)) of its direction from the origin.
+    """
+    f = _freq_checked(np.asarray(freq_hz, dtype=float))
+    x, y, z = positions.T
+    if farfield:
+        u, v, _ = source.direction_cosines()
+        u, v, w = Source.farfield(u, v).direction_cosines()
+        cycles = (u * x + v * y + w * z) * f / SPEED_OF_LIGHT
+    elif source.is_farfield:
+        raise ValueError("far-field source has no range; use farfield=True")
+    else:
+        p = source.position
+        assert p is not None
+        dist = np.hypot(np.hypot(x - p.x, y - p.y), z - p.z)
+        cycles = -dist * f / SPEED_OF_LIGHT      # delay
+    if sign is PhaseSign.ADVANCE:
+        cycles = -cycles
+    return 2.0 * np.pi * (cycles - np.rint(cycles)) + source.phase_rad
+
+
+def element_field(scene: Scene, positions: np.ndarray, freq_hz,
+                  sign: PhaseSign = PhaseSign.DELAY) -> np.ndarray:
+    """Coherent sum Σ a_s·exp(j·φ_s) over the scene's sources of nonzero
+    amplitude at each element, shape (E,); see received_phase."""
+    field = np.zeros(len(positions), dtype=complex)
+    for src in scene.sources:
+        if src.amplitude != 0.0:
+            phi = received_phase(src, positions, freq_hz, sign,
+                                 scene.model == "far-field")
+            field += src.amplitude * np.exp(1j * phi)
+    return field
 
 
 def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
@@ -214,20 +272,10 @@ def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
             f"tuning covers {len(tuning.tone_indices)} elements, "
             f"array has {geometry.num_elements}"
         )
-    if not (math.isfinite(f_lo_hz) and f_lo_hz >= 0):
-        raise ValueError(f"f_lo_hz must be >= 0, got {f_lo_hz!r}")
-    positions = element_positions(geometry)
-    phasors = []
-    for e, (tone, pos) in enumerate(zip(tuning.tone_indices, positions)):
-        f = tone_frequency(comb, tone)
-        amp = 0.0 + 0.0j
-        for src in scene.sources:
-            if src.amplitude == 0.0 or comb.amplitude == 0.0:
-                continue
-            phi = _source_phase(src, scene.model, pos, f, sign)
-            amp += comb.amplitude * src.amplitude * complex(math.cos(phi),
-                                                            math.sin(phi))
-        phasors.append(ElementPhasor(element=e, tone=tone, amplitude=amp,
-                                     baseband_hz=f - f_lo_hz))
-    return PhasorSet(phasors=tuple(phasors), f_lo_hz=f_lo_hz,
-                     delta_f_hz=comb.delta_f_hz)
+    if geometry.num_elements > comb.num_tones:
+        raise ValueError(f"tone indices exceed the comb's {comb.num_tones}")
+    tones = np.array(tuning.tone_indices)
+    freqs = comb.f0_hz + tones * comb.delta_f_hz
+    field = element_field(scene, element_positions_array(geometry), freqs, sign)
+    return PhasorSet.from_arrays(comb.amplitude * field, tones,
+                                 freqs - f_lo_hz, f_lo_hz, comb.delta_f_hz)

@@ -276,6 +276,24 @@ def test_sweep_delta_f_needs_whole_periods(tmp_path, capsys):
     assert all(abs(float(r[1])) < 5.0 for r in rows)  # not the mirror
 
 
+@pytest.mark.parametrize("param, value, named", [
+    ("num_tones", "0", "num_tones=0"),
+    ("spacing_m", "-0.01", "spacing_m=-0.01"),
+    ("range_m", "-5", "range_m=-5.0"),
+])
+def test_sweep_bad_value_is_a_config_error(tmp_path, capsys, param, value,
+                                           named):
+    # each once ran the good points first, then exited 2 as a runtime error
+    rc = main(["sweep", "--config", str(scenario_path("single_source")),
+               "--out", str(tmp_path), "--param", param,
+               "--values", f"8,{value}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("min_separation_u", float("nan")),
     ("calibration_range_m", float("nan")),
