@@ -129,7 +129,7 @@ def beamform_conventional(snapshot: np.ndarray, geometry: ArrayGeometry,
     ny = np.arange(geometry.n)[:, None] * geometry.dy_m
     em = np.exp(1j * k * mx * u_grid[None, :])      # (M, U)
     en = np.exp(1j * k * ny * v_grid[None, :])      # (N, V)
-    b = np.einsum("mu,mn,nv->uv", em, snapshot, en)
+    b = em.T @ snapshot @ en
     gain = pattern.gain(u_grid[:, None], v_grid[None, :])
     return np.abs(b) * gain
 

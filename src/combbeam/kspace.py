@@ -19,8 +19,8 @@ from .propagation import (
     NoiseSpec,
     PhaseSign,
     PhasorSet,
-    complex_noise,
     scene_element_phasors,
+    summed_noise,
 )
 from .waveform import CombSpec
 
@@ -228,17 +228,19 @@ class BeamformOutput:
 def beamform_envelope(phasors: PhasorSet, time_s,
                       noise: NoiseSpec | None = None,
                       trial: int = 0) -> BeamformOutput:
-    """Envelope |Σ_e a_e·exp(j2πν_e t) (+ noise)| over a time grid.
+    """Envelope |Σ_e a_e·exp(j2πν_e t) + w(t)| over a time grid.
 
     The grid must be uniform and span a whole number of periods 1/Δf
     (see periodic_field); the envelope repeats with that period, so the
-    samples wrap around. Without noise the result is independent of the
+    samples wrap around. With ``noise``, w is the element-summed noise
+    drawn by summed_noise for (noise.seed, trial): one CN(0, E·sigma²)
+    sample per time sample. Without noise the result is independent of the
     common mixer LO: only tone differences enter |·|.
     """
     t = np.asarray(time_s, dtype=float)
     z = periodic_field(phasors, t)
     if noise is not None and noise.sigma > 0:
-        z = z + complex_noise(noise, len(phasors), t.size, trial).sum(axis=0)
+        z = z + summed_noise(noise, len(phasors), t.size, trial)
     return BeamformOutput(time_s=t, envelope=np.abs(z), phasors=phasors)
 
 

@@ -12,7 +12,7 @@ conjugate of DELAY in both models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -34,6 +34,7 @@ __all__ = [
     "PhasorSet",
     "NoiseSpec",
     "complex_noise",
+    "summed_noise",
     "received_phase",
     "element_field",
     "scene_element_phasors",
@@ -213,6 +214,21 @@ def complex_noise(spec: NoiseSpec, num_elements: int, num_samples: int,
     rng = np.random.default_rng((spec.seed, trial))
     g = rng.standard_normal((2, num_elements, num_samples))
     return spec.sigma / math.sqrt(2.0) * (g[0] + 1j * g[1])
+
+
+def summed_noise(spec: NoiseSpec, num_elements: int, num_samples: int,
+                 trial: int = 0) -> np.ndarray:
+    """Noise of the element sum, shape (num_samples,).
+
+    The sum of num_elements independent CN(0, sigma²) draws is exactly
+    CN(0, num_elements·sigma²), so it is drawn as one stream of that power
+    (the (seed, trial) stream of complex_noise at sigma·sqrt(E), one row)
+    instead of summing an (E, num_samples) array.
+    """
+    if num_elements < 1:
+        raise ValueError("noise array dimensions must be >= 1")
+    spec_sum = replace(spec, sigma=spec.sigma * math.sqrt(num_elements))
+    return complex_noise(spec_sum, 1, num_samples, trial)[0]
 
 
 def received_phase(source: Source, positions: np.ndarray, freq_hz,

@@ -70,6 +70,38 @@ def test_beamform_matches_double_sum_oracle():
             assert out[a, b] == pytest.approx(abs(acc), rel=1e-10)
 
 
+@pytest.mark.parametrize("geom, u_points, v_points", [
+    (planar_array(5, 3, 0.0041, 0.0036), 7, 4),
+    (planar_array(3, 6, 0.0041, 0.0036), 4, 9),
+    (planar_array(4, 3, 0.0041, 0.0036), 6, 1),
+    (planar_array(6, 1, 0.0041, 0.0036), 9, 2),
+    (planar_array(1, 5, 0.0041, 0.0036), 1, 6),
+    (linear_array(7, 0.0041), 11, 1),
+])
+def test_beamform_non_square_shapes_match_double_sum(geom, u_points,
+                                                     v_points):
+    # M != N and U != V: a transposed factor cannot hide behind a square case
+    rng = np.random.default_rng(geom.m * 10 + geom.n)
+    lam = 0.0157744
+    snap = (rng.standard_normal((geom.m, geom.n))
+            + 1j * rng.standard_normal((geom.m, geom.n)))
+    u_grid = rng.uniform(-1, 1, u_points)
+    v_grid = rng.uniform(-1, 1, v_points)
+    out = beamform_conventional(snap, geom, lam, u_grid, v_grid)
+    assert out.shape == (u_points, v_points)
+    k = 2 * math.pi / lam
+    want = np.zeros((u_points, v_points))
+    for a, u in enumerate(u_grid):
+        for b, v in enumerate(v_grid):
+            acc = 0.0 + 0.0j
+            for m in range(geom.m):
+                for n in range(geom.n):
+                    acc += snap[m, n] * np.exp(
+                        1j * k * (m * geom.dx_m * u + n * geom.dy_m * v))
+            want[a, b] = abs(acc)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(snap).sum()
+
+
 def test_matched_farfield_source_reaches_full_gain():
     geom = planar_array(6, 7, 0.0079, 0.0079)
     freq = 19e9

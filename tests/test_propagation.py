@@ -18,6 +18,7 @@ from combbeam.propagation import (
     received_phase_exact,
     received_phase_farfield,
     scene_element_phasors,
+    summed_noise,
     wrap_phase,
 )
 from combbeam.waveform import SPEED_OF_LIGHT, CombSpec
@@ -240,6 +241,27 @@ def test_noise_power_matches_sigma():
     w = complex_noise(spec, 16, 4096)
     power = float(np.mean(np.abs(w) ** 2))
     assert power == pytest.approx(1.3 ** 2, rel=0.05)
+
+
+def test_summed_noise_has_the_distribution_of_the_element_sum():
+    e, sigma, g = 21, 0.7, 400_000
+    spec = NoiseSpec(sigma=sigma, seed=5)
+    w = summed_noise(spec, e, g, trial=1)
+    assert w.shape == (g,)
+    power = e * sigma ** 2
+    assert float(np.mean(np.abs(w) ** 2)) == pytest.approx(power, rel=0.02)
+    # the per-element sum it replaces, drawn in blocks to bound memory
+    ref = np.concatenate([complex_noise(spec, e, g // 10, trial=k).sum(axis=0)
+                          for k in range(10)])
+    assert float(np.mean(np.abs(w) ** 2)) == pytest.approx(
+        float(np.mean(np.abs(ref) ** 2)), rel=0.03)
+    assert float(np.var(w.real)) == pytest.approx(power / 2, rel=0.02)
+    assert float(np.var(w.imag)) == pytest.approx(power / 2, rel=0.02)
+    assert abs(float(np.corrcoef(w.real, w.imag)[0, 1])) < 0.01
+    np.testing.assert_array_equal(summed_noise(spec, e, 64, trial=1),
+                                  summed_noise(spec, e, 64, trial=1))
+    assert not np.array_equal(summed_noise(spec, e, 64, trial=1),
+                              summed_noise(spec, e, 64, trial=2))
 
 
 def test_zero_sigma_noise_is_silent():

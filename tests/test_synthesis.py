@@ -27,8 +27,8 @@ from combbeam.propagation import (
     NoiseSpec,
     PhaseSign,
     PhasorSet,
-    complex_noise,
     scene_element_phasors,
+    summed_noise,
 )
 from combbeam.waveform import CombSpec
 
@@ -72,7 +72,7 @@ def test_noisy_envelope_adds_noise_to_the_dense_field(f_lo):
     t = default_time_grid(CombSpec(F0, DF, 21, 5e-6), 1024)
     noise = NoiseSpec(sigma=0.7, seed=3)
     env = beamform_envelope(ps, t, noise, trial=2).envelope
-    w = complex_noise(noise, 21, t.size, 2).sum(axis=0)
+    w = summed_noise(noise, 21, t.size, 2)
     want = np.abs(complex_field(ps, t) + w)
     bound = float(np.abs(ps.amplitude_vector()).sum())
     assert np.abs(env - want).max() <= 1e-9 * bound
