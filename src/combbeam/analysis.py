@@ -17,8 +17,10 @@ from .kspace import (
     BeamformOutput,
     Peak,
     SimConfig,
+    _local_peaks,
     _quadratic_peak,
     _refine_peak,
+    _thin_peaks,
     assign_tuning,
     calibrate_axis,
     complex_field,
@@ -167,22 +169,14 @@ def _conventional_peak_azimuths(scene: Scene, geometry: ArrayGeometry,
     gmax = float(spectrum.max())
     if gmax == 0.0:
         return []
-    # interior local maxima only: the u scan does not wrap around
-    mid = spectrum[1:-1]
-    is_max = (mid > spectrum[:-2]) & (mid >= spectrum[2:])
-    du = u_grid[1] - u_grid[0]
-    found: list[tuple[float, float]] = []
-    for i in np.flatnonzero(is_max) + 1:
-        p, height = _quadratic_peak(spectrum[i - 1], spectrum[i],
-                                    spectrum[i + 1])
-        if height >= threshold_fraction * gmax:
-            found.append((float(u_grid[i] + p * du), height))
-    found.sort(key=lambda fu: fu[1], reverse=True)
-    kept: list[tuple[float, float]] = []
-    for u, h in found:
-        if all(abs(u - uk) >= min_separation_u for uk, _ in kept):
-            kept.append((u, h))
-    return [math.degrees(math.asin(min(1.0, max(-1.0, u)))) for u, _ in kept]
+    # the u scan does not wrap around: its end samples are never peaks
+    i = _local_peaks(spectrum, circular=False)
+    p, height = _quadratic_peak(spectrum[i - 1], spectrum[i], spectrum[i + 1])
+    strong = height >= threshold_fraction * gmax
+    u = u_grid[i[strong]] + p[strong] * (u_grid[1] - u_grid[0])
+    return [math.degrees(math.asin(min(1.0, max(-1.0, float(u[k])))))
+            for k in _thin_peaks(u, height[strong], min_separation_u,
+                                 circular=False)]
 
 
 def compare_methods(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
@@ -191,16 +185,18 @@ def compare_methods(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     """Run the comb pipeline and a conventional scan on the same scene.
 
     The conventional path forms a single-frequency snapshot at the comb
-    center and scans u with matched steering. Peaks from the two paths are
-    paired nearest-first; max_discrepancy_deg is the largest pairing gap.
+    center and scans u with matched steering. Its peaks are read with the
+    picker find_peaks uses (local maxima, quadratic vertex, threshold,
+    strongest-first thinning by config.min_separation_for), except that the
+    u scan does not wrap around. Peaks from the two paths are paired
+    nearest-first; max_discrepancy_deg is the largest pairing gap.
     """
     out = run_beamform(scene, geometry, comb, config)
     assert out.peaks is not None
     k_az = sorted(pk.azimuth_deg for pk in out.peaks)
-    min_sep = (4.0 / comb.num_tones if config.min_separation_u is None
-               else config.min_separation_u)
     c_az = sorted(_conventional_peak_azimuths(
-        scene, geometry, comb, u_points, config.threshold_fraction, min_sep))
+        scene, geometry, comb, u_points, config.threshold_fraction,
+        config.min_separation_for(comb)))
     pairs = []
     for az in k_az:
         if c_az:
@@ -276,7 +272,7 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
-    f_lo = comb.f0_hz if config.lo_hz is None else config.lo_hz
+    f_lo = config.lo_for(comb)
     tuning = assign_tuning(geometry, comb)
     phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
                                     config.phase_sign)
@@ -340,7 +336,7 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     config.grid_points), reduced modulo the period 1/Δf. brute_force_peak
     is the dense oracle it is tested against.
     """
-    f_lo = comb.f0_hz if config.lo_hz is None else config.lo_hz
+    f_lo = config.lo_for(comb)
     tuning = assign_tuning(geometry, comb)
     grid = default_time_grid(comb, config.grid_points)
     times = {}
@@ -349,7 +345,7 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                                         sign)
         env = np.abs(periodic_field(phasors, grid))
         t_pk, _ = _refine_peak(env, grid, int(np.argmax(env)))
-        times[sign] = t_pk % comb.period_s
+        times[sign] = float(t_pk) % comb.period_s
     cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
                          config.grid_points, config.calibration_range_m)
     u = float(time_to_u(cal, times[PhaseSign.DELAY]))

@@ -28,7 +28,7 @@ Scenario schema (all frequencies Hz, lengths m, times s, angles deg)::
       calibration_range_m: 17.0 # default: plane-wave calibration probes
       threshold_fraction: 0.5
       min_separation_u: 0.19    # default: 4/num_tones
-      noise: {sigma: 1.0, seed: 0, trials: 100}
+      noise: {sigma: 1.0, seed: 0}
     output:                     # optional
       directory: out            # or pass --out
       emit_rf: false            # also write rf.csv (simulate)
@@ -55,8 +55,7 @@ points over duration_s; a duration that is not a whole number of periods is
 a configuration error. Exit codes: 0 success, 1 configuration errors, 2
 runtime (math/model) errors, 3 I/O errors. CSV files are written atomically
 (temp file + rename) with full-precision repr() floats and no timestamps, so
-reruns are byte-identical. COMBBEAM_THREADS caps the sweep worker pool (results are
-ordered by input value, independent of thread count).
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -125,7 +123,6 @@ class ScenarioConfig:
     geometry: ArrayGeometry
     scene: Scene
     sim: SimConfig
-    trials: int
     output_directory: str | None
     emit_rf: bool
     emit_phase_map: bool
@@ -175,7 +172,6 @@ class ScenarioConfig:
             sim["noise"] = {
                 "sigma": self.sim.noise.sigma,
                 "seed": self.sim.noise.seed,
-                "trials": self.trials,
             }
         output: dict[str, Any] = {
             "emit_rf": self.emit_rf,
@@ -345,13 +341,9 @@ def parse_config(text: str) -> ScenarioConfig:
                           "calibration_range_m", "threshold_fraction",
                           "min_separation_u", "noise"})
     noise = None
-    trials = 100
     if "noise" in sd:
         nd = _mapping(sd["noise"], "sim.noise")
-        _no_extra(nd, "sim.noise", {"sigma", "seed", "trials"})
-        trials = _int(nd, "trials", "sim.noise", 100)
-        if trials < 1:
-            raise ConfigError("sim.noise.trials: must be >= 1")
+        _no_extra(nd, "sim.noise", {"sigma", "seed"})
         try:
             noise = NoiseSpec(sigma=_num(nd, "sigma", "sim.noise"),
                               seed=_int(nd, "seed", "sim.noise", 0))
@@ -382,7 +374,6 @@ def parse_config(text: str) -> ScenarioConfig:
         geometry=geometry,
         scene=scene,
         sim=sim,
-        trials=trials,
         output_directory=directory,
         emit_rf=_bool(od, "emit_rf", "output", False),
         emit_phase_map=_bool(od, "emit_phase_map", "output", False),
@@ -508,19 +499,6 @@ def _parse_sweep_values(param: str, raw: str) -> list:
         raise ConfigError(f"--values: {e}") from e
 
 
-def _worker_count(num_points: int) -> int:
-    env = os.environ.get("COMBBEAM_THREADS")
-    if env is None:
-        return min(num_points, os.cpu_count() or 1)
-    try:
-        n = int(env)
-    except ValueError as e:
-        raise ConfigError(f"COMBBEAM_THREADS must be an integer, got {env!r}") from e
-    if n < 1:
-        raise ConfigError(f"COMBBEAM_THREADS must be >= 1, got {n}")
-    return n
-
-
 def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
               values: list) -> None:
     if len(config.scene.sources) != 1:
@@ -557,17 +535,14 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
                               "comb.duration_s")
         points.append((value, comb, geometry, scene, sim))
 
-    def run_point(point: tuple) -> tuple:
-        value, comb, geometry, scene, sim = point
+    rows = []
+    for value, comb, geometry, scene, sim in points:
         out = run_beamform(scene, geometry, comb, sim)
         if not out.peaks:
             raise ValueError(f"sweep point {param}={value}: no peak found")
         top = out.peaks[0]
-        return (value, top.azimuth_deg - true_az, top.magnitude,
-                peak_width_u(out, top))
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(points))) as pool:
-        rows = list(pool.map(run_point, points))
+        rows.append((value, top.azimuth_deg - true_az, top.magnitude,
+                     peak_width_u(out, top)))
     write_csv_atomic(out_dir / "sweep.csv",
                      ["value", "az_error_deg", "peak_magnitude", "width_u"],
                      rows)
@@ -578,7 +553,7 @@ _HELD_OUT_PROBES = (-0.8, -0.35, 0.15, 0.6)
 
 def cmd_calibrate(config: ScenarioConfig) -> None:
     comb, geometry, sim = config.comb, config.geometry, config.sim
-    f_lo = comb.f0_hz if sim.lo_hz is None else sim.lo_hz
+    f_lo = sim.lo_for(comb)
     cal = calibrate_axis(geometry, comb, f_lo, sim.phase_sign,
                          sim.grid_points, sim.calibration_range_m)
     print(f"slope_sign={cal.slope_sign}")

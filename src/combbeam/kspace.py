@@ -213,11 +213,10 @@ class Peak:
 
 @dataclass
 class BeamformOutput:
-    """Sampled beamformer output plus optional derived axes and peaks."""
+    """Sampled envelope plus optional derived axes and peaks."""
 
     time_s: np.ndarray
     envelope: np.ndarray
-    rf: np.ndarray | None = None
     u: np.ndarray | None = None
     azimuth_deg: np.ndarray | None = None
     calibration: AxisCalibration | None = None
@@ -275,29 +274,51 @@ def apply_calibration(out: BeamformOutput,
     return out
 
 
-def _quadratic_peak(ym1: float, y0: float, yp1: float) -> tuple[float, float]:
-    """3-point quadratic vertex: fractional offset in [−0.5, 0.5] and height."""
+def _local_peaks(y: np.ndarray, circular: bool) -> np.ndarray:
+    """Indices of the local maxima of y: above the left neighbour and not
+    below the right one, so a plateau yields its left sample. A circular
+    scan wraps around; a linear one ignores both end samples."""
+    if circular:
+        return np.flatnonzero((y > np.roll(y, 1)) & (y >= np.roll(y, -1)))
+    mid = y[1:-1]
+    return np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])) + 1
+
+
+def _quadratic_peak(ym1, y0, yp1):
+    """3-point quadratic vertex, element-wise: fractional offset in
+    [−0.5, 0.5] and height. A collinear triple gives offset 0."""
     denom = ym1 - 2.0 * y0 + yp1
-    if denom == 0.0:
-        return 0.0, y0
-    p = 0.5 * (ym1 - yp1) / denom
-    p = min(0.5, max(-0.5, p))
+    flat = denom == 0.0
+    p = np.where(flat, 0.0, 0.5 * (ym1 - yp1) / np.where(flat, 1.0, denom))
+    p = np.minimum(0.5, np.maximum(-0.5, p))
     return p, y0 - 0.25 * (ym1 - yp1) * p
 
 
-def _refine_peak(env: np.ndarray, time_s: np.ndarray,
-                 i: int) -> tuple[float, float]:
-    """Quadratic-vertex time and height of the envelope peak at sample i;
-    the grid spans whole periods, so neighbours and time wrap around."""
+def _refine_peak(env: np.ndarray, time_s: np.ndarray, i):
+    """Quadratic-vertex time and height of the envelope peak at sample
+    index (or index array) i; the grid spans whole periods, so neighbours
+    and time wrap around."""
     n = env.size
     p, height = _quadratic_peak(env[(i - 1) % n], env[i], env[(i + 1) % n])
     dt = float(time_s[1] - time_s[0])
-    return float((float(time_s[0]) + (i + p) * dt) % (n * dt)), height
+    return (float(time_s[0]) + (i + p) * dt) % (n * dt), height
 
 
-def _circular_u_distance(a: float, b: float) -> float:
-    d = abs(a - b) % 2.0
-    return min(d, 2.0 - d)
+def _thin_peaks(u: np.ndarray, height: np.ndarray, min_separation_u: float,
+                circular: bool) -> list[int]:
+    """Indices of the candidates kept, strongest first (ties in input
+    order): each is kept unless it sits closer than min_separation_u to a
+    stronger kept one. Distances are |Δu|, or on a circular scan the
+    shorter way round a circle of period 2 in u."""
+    kept: list[int] = []
+    for k in np.argsort(-height, kind="stable"):
+        d = np.abs(u[k] - u[kept])
+        if circular:
+            d = d % 2.0
+            d = np.minimum(d, 2.0 - d)
+        if np.all(d >= min_separation_u):
+            kept.append(int(k))
+    return kept
 
 
 def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
@@ -306,9 +327,10 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
 
     The grid spans whole envelope periods (beamform_envelope accepts no
     other), so its samples wrap around: the last sample neighbours the
-    first, and no grid edge can pose as a peak. Local maxima
-    at or above threshold_fraction·max are refined with a 3-point quadratic
-    fit, mapped through the attached calibration, sorted by magnitude, and
+    first, and no grid edge can pose as a peak. It uses the picker that
+    compare_methods' conventional scan shares: local maxima at or above
+    threshold_fraction·max are refined with a 3-point quadratic fit,
+    mapped through the attached calibration, sorted by magnitude, and
     thinned so no two kept peaks sit closer than min_separation_u on the
     circular u axis. An all-zero envelope yields []; an envelope with no
     isolated local maximum (e.g. constant) is an error.
@@ -322,8 +344,7 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
     if out.calibration is None:
         raise ValueError("output has no calibration; run apply_calibration first")
     env = np.asarray(out.envelope, dtype=float)
-    n = env.size
-    if n < 3:
+    if env.size < 3:
         raise ValueError("need at least 3 envelope samples to find peaks")
     gmax = float(env.max())
     if gmax == 0.0:
@@ -332,25 +353,17 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
     # float rounding would be promoted into arbitrary "peaks"
     if gmax - float(env.min()) <= 1e-9 * gmax:
         raise ValueError("envelope has no isolated local maximum")
-    prev = np.roll(env, 1)
-    nxt = np.roll(env, -1)
-    is_max = (env > prev) & (env >= nxt)
-    if not is_max.any():
+    i = _local_peaks(env, circular=True)
+    if i.size == 0:
         raise ValueError("envelope has no isolated local maximum")
-    peaks: list[Peak] = []
-    for i in np.flatnonzero(is_max):
-        t_pk, height = _refine_peak(env, out.time_s, int(i))
-        if height < threshold_fraction * gmax:
-            continue
-        u_pk = float(time_to_u(out.calibration, t_pk))
-        peaks.append(Peak(time_s=t_pk, u=u_pk,
-                          azimuth_deg=u_to_azimuth(u_pk), magnitude=height))
-    peaks.sort(key=lambda pk: pk.magnitude, reverse=True)
-    kept: list[Peak] = []
-    for pk in peaks:
-        if all(_circular_u_distance(pk.u, q.u) >= min_separation_u for q in kept):
-            kept.append(pk)
-    return kept
+    t, height = _refine_peak(env, out.time_s, i)
+    strong = height >= threshold_fraction * gmax
+    t, height = t[strong], height[strong]
+    u = time_to_u(out.calibration, t)
+    return [Peak(time_s=float(t[k]), u=float(u[k]),
+                 azimuth_deg=u_to_azimuth(float(u[k])),
+                 magnitude=float(height[k]))
+            for k in _thin_peaks(u, height, min_separation_u, circular=True)]
 
 
 def probe_scene(u: float, range_m: float | None = None) -> Scene:
@@ -388,7 +401,7 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
         phasors = scene_element_phasors(probe_scene(u, reference_range_m),
                                         geometry, comb, tuning, f_lo_hz, sign)
         env = beamform_envelope(phasors, grid).envelope
-        return _refine_peak(env, grid, int(np.argmax(env)))[0]
+        return float(_refine_peak(env, grid, int(np.argmax(env)))[0])
 
     period = comb.period_s
     t0 = 0.0 if reference_range_m is None else probe_peak_time(0.0) % period
@@ -436,11 +449,20 @@ class SimConfig:
                 f"got {self.calibration_range_m!r}"
             )
 
+    def lo_for(self, comb: CombSpec) -> float:
+        """Mixer LO: lo_hz, or the comb's f0_hz when unset."""
+        return comb.f0_hz if self.lo_hz is None else self.lo_hz
+
+    def min_separation_for(self, comb: CombSpec) -> float:
+        """min_separation_u, or one resolution cell 4/N when unset."""
+        return (4.0 / comb.num_tones if self.min_separation_u is None
+                else self.min_separation_u)
+
 
 def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                  config: SimConfig = SimConfig()) -> BeamformOutput:
     """Full pipeline: tune, propagate, calibrate, beamform, find peaks."""
-    f_lo = comb.f0_hz if config.lo_hz is None else config.lo_hz
+    f_lo = config.lo_for(comb)
     tuning = assign_tuning(geometry, comb)
     phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
                                     config.phase_sign)
@@ -450,9 +472,8 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     out = beamform_envelope(phasors, default_time_grid(comb, config.grid_points),
                             config.noise)
     out = apply_calibration(out, calibration)
-    min_sep = (4.0 / comb.num_tones if config.min_separation_u is None
-               else config.min_separation_u)
-    out.peaks = find_peaks(out, config.threshold_fraction, min_sep)
+    out.peaks = find_peaks(out, config.threshold_fraction,
+                           config.min_separation_for(comb))
     return out
 
 

@@ -193,25 +193,18 @@ sources: [{farfield: [0.5, 0.0]}]
                  "--param", "range_m", "--values", "2,4"]) == 2
 
 
-def test_sweep_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ("1", "3"):
-        monkeypatch.setenv("COMBBEAM_THREADS", threads)
-        out = tmp_path / threads
+def test_sweep_reruns_are_byte_identical_in_input_order(tmp_path):
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
         rc = main(["sweep", "--config", str(scenario_path("single_source")),
                    "--out", str(out), "--param", "range_m",
-                   "--values", "2,4,8,16,32"])
+                   "--values", "16,2,32,4,8"])
         assert rc == 0
-        outputs[threads] = (out / "sweep.csv").read_bytes()
-    assert outputs["1"] == outputs["3"]
-    monkeypatch.setenv("COMBBEAM_THREADS", "0")
-    assert main(["sweep", "--config", str(scenario_path("single_source")),
-                 "--out", str(tmp_path), "--param", "range_m",
-                 "--values", "2"]) == 1
-    monkeypatch.setenv("COMBBEAM_THREADS", "many")
-    assert main(["sweep", "--config", str(scenario_path("single_source")),
-                 "--out", str(tmp_path), "--param", "range_m",
-                 "--values", "2"]) == 1
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    _, rows = _read_csv(tmp_path / "a" / "sweep.csv")
+    assert [float(r[0]) for r in rows] == [16.0, 2.0, 32.0, 4.0, 8.0]
 
 
 def test_calibrate_prints_axis_and_probes(capsys):
@@ -249,6 +242,17 @@ def test_seed_override_changes_noise(tmp_path):
 
     assert run(1, "a") == run(1, "b")
     assert run(1, "c") != run(2, "d")
+
+
+def test_noise_trials_key_is_rejected(tmp_path, capsys):
+    # simulate adds one noise draw; a trial count it would ignore is an error
+    text = scenario_path("single_source").read_text().replace(
+        "  lo_hz:", "  noise: {sigma: 0.5, seed: 3, trials: 100}\n  lo_hz:")
+    cfg = tmp_path / "trials.yaml"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "sim.noise: unknown key(s) ['trials']" in capsys.readouterr().err
 
 
 def test_parse_rejects_partial_period_duration():
