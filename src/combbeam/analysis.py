@@ -18,19 +18,19 @@ from .kspace import (
     Peak,
     SimConfig,
     _local_peaks,
+    _peak_time,
     _quadratic_peak,
-    _refine_peak,
     _thin_peaks,
-    assign_tuning,
+    _tuned_phasors,
     calibrate_axis,
     complex_field,
     default_time_grid,
     periodic_field,
     run_beamform,
     time_to_u,
+    u_to_azimuth,
 )
-from .propagation import (NoiseSpec, PhaseSign, PhasorSet,
-                          scene_element_phasors, summed_noise)
+from .propagation import NoiseSpec, PhaseSign, PhasorSet, summed_noise
 from .waveform import CombSpec, wavelength
 
 __all__ = [
@@ -174,9 +174,8 @@ def _conventional_peak_azimuths(scene: Scene, geometry: ArrayGeometry,
     p, height = _quadratic_peak(spectrum[i - 1], spectrum[i], spectrum[i + 1])
     strong = height >= threshold_fraction * gmax
     u = u_grid[i[strong]] + p[strong] * (u_grid[1] - u_grid[0])
-    return [math.degrees(math.asin(min(1.0, max(-1.0, float(u[k])))))
-            for k in _thin_peaks(u, height[strong], min_separation_u,
-                                 circular=False)]
+    return [u_to_azimuth(float(u[k])) for k in _thin_peaks(
+        u, height[strong], min_separation_u, circular=False)]
 
 
 def compare_methods(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
@@ -272,10 +271,8 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
-    f_lo = config.lo_for(comb)
-    tuning = assign_tuning(geometry, comb)
-    phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
-                                    config.phase_sign)
+    phasors = _tuned_phasors(scene, geometry, comb, config.lo_for(comb),
+                             config.phase_sign)
     grid = default_time_grid(comb, config.grid_points)
     z_clean = periodic_field(phasors, grid)
     i_peak = int(np.argmax(np.abs(z_clean)))
@@ -337,25 +334,18 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     is the dense oracle it is tested against.
     """
     f_lo = config.lo_for(comb)
-    tuning = assign_tuning(geometry, comb)
     grid = default_time_grid(comb, config.grid_points)
-    times = {}
-    for sign in (PhaseSign.DELAY, PhaseSign.ADVANCE):
-        phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
-                                        sign)
-        env = np.abs(periodic_field(phasors, grid))
-        t_pk, _ = _refine_peak(env, grid, int(np.argmax(env)))
-        times[sign] = float(t_pk) % comb.period_s
+    times = {s: _peak_time(_tuned_phasors(scene, geometry, comb, f_lo, s),
+                           grid) % comb.period_s
+             for s in (PhaseSign.DELAY, PhaseSign.ADVANCE)}
     cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
                          config.grid_points, config.calibration_range_m)
     u = float(time_to_u(cal, times[PhaseSign.DELAY]))
-    az = math.degrees(math.asin(min(1.0, max(-1.0, u))))
-    t_linear = (1.0 + u) / (2.0 * comb.delta_f_hz)
     return PeakTimeReport(
         delay_peak_time_s=times[PhaseSign.DELAY],
         advance_peak_time_s=times[PhaseSign.ADVANCE],
         u_estimate=u,
-        azimuth_deg=az,
-        linear_axis_peak_time_s=t_linear,
+        azimuth_deg=u_to_azimuth(u),
+        linear_axis_peak_time_s=(1.0 + u) / (2.0 * comb.delta_f_hz),
         period_s=comb.period_s,
     )

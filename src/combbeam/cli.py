@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -84,18 +83,18 @@ from .geometry import (
 )
 from .kspace import (
     SimConfig,
-    apply_calibration,
-    assign_tuning,
-    beamform_envelope,
+    _peak_time,
+    _tuned_phasors,
     beamform_rf,
     calibrate_axis,
     default_time_grid,
-    find_peaks,
     probe_scene,
     run_beamform,
+    time_to_u,
+    u_to_azimuth,
     whole_periods,
 )
-from .propagation import NoiseSpec, PhaseSign, scene_element_phasors
+from .propagation import NoiseSpec, PhaseSign
 from .waveform import CombSpec
 
 __all__ = [
@@ -280,6 +279,18 @@ def _check_duration(comb: CombSpec, what: str) -> None:
         raise ConfigError(f"{what}: {e}") from e
 
 
+def _check_tunable(comb: CombSpec, geometry: ArrayGeometry,
+                   what: str = "") -> None:
+    """Config error unless run_beamform and calibrate_axis accept the array."""
+    if geometry.kind != "linear":
+        raise ConfigError(f"{what}array.kind: tone tuning needs 'linear'")
+    if geometry.m != comb.num_tones:
+        raise ConfigError(f"{what}array.m ({geometry.m}) must equal "
+                          f"comb.num_tones ({comb.num_tones})")
+    if comb.num_tones < 2:
+        raise ConfigError(f"{what}comb.num_tones: calibration needs >= 2 tones")
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario document."""
     try:
@@ -422,6 +433,7 @@ def write_csv_atomic(path: Path, header: Sequence[str],
 
 
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
+    _check_tunable(config.comb, config.geometry)
     out = run_beamform(config.scene, config.geometry, config.comb, config.sim)
     assert out.u is not None and out.azimuth_deg is not None
     write_csv_atomic(
@@ -443,13 +455,10 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
          for p in out.phasors),
     )
     if config.emit_rf:
-        tuning = assign_tuning(config.geometry, config.comb)
-        rf_phasors = scene_element_phasors(config.scene, config.geometry,
-                                           config.comb, tuning, 0.0,
-                                           config.sim.phase_sign)
-        grid = default_time_grid(config.comb, config.sim.grid_points)
-        rf = beamform_rf(rf_phasors, grid)
-        write_csv_atomic(out_dir / "rf.csv", ["time_s", "rf"], zip(grid, rf))
+        phasors = _tuned_phasors(config.scene, config.geometry, config.comb,
+                                 0.0, config.sim.phase_sign)
+        write_csv_atomic(out_dir / "rf.csv", ["time_s", "rf"],
+                         zip(out.time_s, beamform_rf(phasors, out.time_s)))
     if config.emit_phase_map:
         _write_phase_map(config, out_dir, with_curvature=False)
 
@@ -507,7 +516,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
     if base.is_farfield:
         if param == "range_m":
             raise ValueError("range sweep needs a point source")
-        true_az = math.degrees(math.asin(base.direction[0]))
+        true_az = u_to_azimuth(base.direction[0])
     else:
         assert base.position is not None
         true_az = azimuth_of(base.position)
@@ -533,6 +542,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
             raise ConfigError(f"--values: {param}={value!r}: {e}") from e
         _check_duration(comb, f"--values: {param}={value!r} with "
                               "comb.duration_s")
+        _check_tunable(comb, geometry, f"--values: {param}={value!r}: ")
         points.append((value, comb, geometry, scene, sim))
 
     rows = []
@@ -553,22 +563,19 @@ _HELD_OUT_PROBES = (-0.8, -0.35, 0.15, 0.6)
 
 def cmd_calibrate(config: ScenarioConfig) -> None:
     comb, geometry, sim = config.comb, config.geometry, config.sim
+    _check_tunable(comb, geometry)
     f_lo = sim.lo_for(comb)
     cal = calibrate_axis(geometry, comb, f_lo, sim.phase_sign,
                          sim.grid_points, sim.calibration_range_m)
     print(f"slope_sign={cal.slope_sign}")
     print(f"t0_s={cal.t0_s!r}")
     print(f"delta_f_hz={cal.delta_f_hz!r}")
-    tuning = assign_tuning(geometry, comb)
     grid = default_time_grid(comb, sim.grid_points)
     for u in _HELD_OUT_PROBES:
-        phasors = scene_element_phasors(
-            probe_scene(u, sim.calibration_range_m), geometry, comb, tuning,
-            f_lo, sim.phase_sign)
-        out = apply_calibration(beamform_envelope(phasors, grid), cal)
-        top = find_peaks(out, 0.5, 0.0)[0]
-        residual = top.u - u
-        print(f"probe u={u!r}: estimated_u={top.u!r} residual={residual!r}")
+        phasors = _tuned_phasors(probe_scene(u, sim.calibration_range_m),
+                                 geometry, comb, f_lo, sim.phase_sign)
+        u_est = time_to_u(cal, _peak_time(phasors, grid))
+        print(f"probe u={u!r}: estimated_u={u_est!r} residual={u_est - u!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

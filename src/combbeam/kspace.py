@@ -55,7 +55,6 @@ class TuningPlan:
     element e listens at; the assignment must be a bijection onto 1..N."""
 
     tone_indices: tuple[int, ...]
-    order: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tone_indices", tuple(self.tone_indices))
@@ -82,7 +81,14 @@ def assign_tuning(geometry: ArrayGeometry, comb: CombSpec) -> TuningPlan:
     idx = tuple(range(1, comb.num_tones + 1))
     if geometry.tuning_order == "descending":
         idx = idx[::-1]
-    return TuningPlan(tone_indices=idx, order=geometry.tuning_order)
+    return TuningPlan(tone_indices=idx)
+
+
+def _tuned_phasors(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
+                   f_lo_hz: float, sign: PhaseSign) -> PhasorSet:
+    """The scene's element phasors on the array tuned by assign_tuning."""
+    return scene_element_phasors(scene, geometry, comb,
+                                 assign_tuning(geometry, comb), f_lo_hz, sign)
 
 
 def wrap_unit(x):
@@ -136,8 +142,8 @@ def default_time_grid(comb: CombSpec, grid_points: int = 4096) -> np.ndarray:
 def complex_field(phasors: PhasorSet, time_s) -> np.ndarray:
     """Coherent element sum Σ_e a_e·exp(j·2π·ν_e·t) at each time sample.
 
-    Dense element × sample evaluation on any time grid; the estimation
-    pipeline uses periodic_field instead and keeps this as its oracle.
+    Dense element × sample evaluation on any time grid: the oracle of
+    brute_force_peak and the tests. The pipeline uses periodic_field.
     """
     t = np.asarray(time_s, dtype=float)
     if t.size == 0:
@@ -244,23 +250,15 @@ def beamform_envelope(phasors: PhasorSet, time_s,
 
 
 def beamform_rf(phasors: PhasorSet, time_s) -> np.ndarray:
-    """Real RF element sum Σ_e |a_e|·cos(2πf_e t + ∠a_e).
-
+    """Real RF element sum Σ_e |a_e|·cos(2πf_e t + ∠a_e): the real part of
+    periodic_field, so the grid must be uniform and span whole periods 1/Δf.
     Requires f_lo = 0 so the phasors still carry RF frequencies; its
-    rectified local maxima trace out the envelope.
-    """
+    rectified local maxima trace out the envelope."""
     if phasors.f_lo_hz != 0.0:
         raise ValueError(
             "RF synthesis needs phasors mixed with f_lo = 0 (RF frequencies)"
         )
-    t = np.asarray(time_s, dtype=float)
-    if t.size == 0:
-        raise ValueError("time grid is empty")
-    amps = phasors.amplitude_vector()
-    nu = phasors.baseband_vector()
-    return (np.abs(amps)[None, :] * np.cos(
-        2.0 * np.pi * nu[None, :] * t[:, None] + np.angle(amps)[None, :]
-    )).sum(axis=1)
+    return periodic_field(phasors, time_s).real
 
 
 def apply_calibration(out: BeamformOutput,
@@ -302,6 +300,12 @@ def _refine_peak(env: np.ndarray, time_s: np.ndarray, i):
     p, height = _quadratic_peak(env[(i - 1) % n], env[i], env[(i + 1) % n])
     dt = float(time_s[1] - time_s[0])
     return (float(time_s[0]) + (i + p) * dt) % (n * dt), height
+
+
+def _peak_time(phasors: PhasorSet, time_s: np.ndarray) -> float:
+    """Refined time of the largest sample of the noiseless FFT envelope."""
+    env = np.abs(periodic_field(phasors, time_s))
+    return float(_refine_peak(env, time_s, int(np.argmax(env)))[0])
 
 
 def _thin_peaks(u: np.ndarray, height: np.ndarray, min_separation_u: float,
@@ -391,17 +395,16 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     matters. A boresight plane wave reaches every element in phase and the
     tones are consecutive, so its envelope peaks exactly at t ≡ 0 mod 1/Δf:
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
+    Each probe's peak time is read by _peak_time: the refined largest
+    sample of its FFT envelope on default_time_grid(comb, grid_points).
     """
     if comb.num_tones < 2:
         raise ValueError("axis calibration needs at least 2 comb tones")
-    tuning = assign_tuning(geometry, comb)
     grid = default_time_grid(comb, grid_points)
 
     def probe_peak_time(u: float) -> float:
-        phasors = scene_element_phasors(probe_scene(u, reference_range_m),
-                                        geometry, comb, tuning, f_lo_hz, sign)
-        env = beamform_envelope(phasors, grid).envelope
-        return float(_refine_peak(env, grid, int(np.argmax(env)))[0])
+        return _peak_time(_tuned_phasors(probe_scene(u, reference_range_m),
+                                         geometry, comb, f_lo_hz, sign), grid)
 
     period = comb.period_s
     t0 = 0.0 if reference_range_m is None else probe_peak_time(0.0) % period
@@ -463,9 +466,7 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                  config: SimConfig = SimConfig()) -> BeamformOutput:
     """Full pipeline: tune, propagate, calibrate, beamform, find peaks."""
     f_lo = config.lo_for(comb)
-    tuning = assign_tuning(geometry, comb)
-    phasors = scene_element_phasors(scene, geometry, comb, tuning, f_lo,
-                                    config.phase_sign)
+    phasors = _tuned_phasors(scene, geometry, comb, f_lo, config.phase_sign)
     calibration = calibrate_axis(geometry, comb, f_lo, config.phase_sign,
                                  config.grid_points,
                                  config.calibration_range_m)

@@ -2,6 +2,7 @@ import csv
 from pathlib import Path
 
 import pytest
+import yaml
 
 from combbeam.cli import (
     ConfigError,
@@ -11,6 +12,16 @@ from combbeam.cli import (
     scenario_path,
     serialize_config,
 )
+from combbeam.kspace import (
+    apply_calibration,
+    assign_tuning,
+    beamform_envelope,
+    calibrate_axis,
+    default_time_grid,
+    find_peaks,
+    probe_scene,
+)
+from combbeam.propagation import scene_element_phasors
 
 BUNDLED = ("single_source", "three_sources", "oblique_map",
            "oblique_map_mirrored", "boresight_curvature")
@@ -124,11 +135,11 @@ def test_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 1
     assert main(["simulate", "--config", str(tmp_path / "absent.yaml"),
                  "--out", str(tmp_path)]) == 3
-    # single tone: the axis fit needs at least two tones -> runtime error
+    # a planar single-tone array cannot be tuned -> config error
     single = tmp_path / "single.yaml"
     single.write_text(scenario_path("boresight_curvature").read_text())
     assert main(["simulate", "--config", str(single),
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(tmp_path)]) == 1
     # no output directory anywhere
     assert main(["simulate", "--config",
                  str(scenario_path("single_source"))]) == 1
@@ -316,3 +327,83 @@ def test_bad_sim_field_is_a_config_error(tmp_path, capsys, field, value):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, name, edits, named", [
+    (["simulate"], "oblique_map", {}, "array.kind"),
+    (["simulate"], "single_source", {("array", "m"): 20}, "array.m"),
+    (["calibrate"], "single_source", {("array", "m"): 20}, "array.m"),
+    (["calibrate"], "single_source",
+     {("array", "m"): 1, ("comb", "num_tones"): 1}, "comb.num_tones"),
+    (["sweep", "--param", "spacing_m", "--values", "0.006"], "oblique_map",
+     {}, "array.kind"),
+    (["sweep", "--param", "spacing_m", "--values", "0.006"], "single_source",
+     {("array", "m"): 20}, "array.m"),
+    (["sweep", "--param", "num_tones", "--values", "21,1"], "single_source",
+     {}, "comb.num_tones"),
+])
+def test_untunable_array_is_a_config_error(tmp_path, capsys, args, name,
+                                           edits, named):
+    # each once exited 2 with a runtime error from tuning or calibration
+    data = yaml.safe_load(scenario_path(name).read_text())
+    for (section, key), value in edits.items():
+        data[section][key] = value
+    cfg = tmp_path / "untunable.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main([args[0], "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 *args[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert named in err
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):
+    text = scenario_path("three_sources").read_text().replace(
+        "output: {}", "output: {emit_rf: true}")
+    cfg = tmp_path / "rf.yaml"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                 "--grid-points", "1000"]) == 0
+    header, rows = _read_csv(tmp_path / "rf.csv")
+    assert header == ["time_s", "rf"]
+    assert len(rows) == 1000
+    # three unit sources on 21 elements: |rf| never exceeds the sum of |a_e|
+    assert max(abs(float(r[1])) for r in rows) <= 63.0
+
+
+def _find_peaks_probe_u(config, cal, u):
+    """The held-out probe read calibrate once made: FFT envelope, calibrated
+    axis, strongest find_peaks peak (no threshold thinning)."""
+    comb, geometry, sim = config.comb, config.geometry, config.sim
+    ps = scene_element_phasors(probe_scene(u, sim.calibration_range_m),
+                               geometry, comb, assign_tuning(geometry, comb),
+                               sim.lo_for(comb), sim.phase_sign)
+    out = beamform_envelope(ps, default_time_grid(comb, sim.grid_points))
+    return find_peaks(apply_calibration(out, cal), 0.5, 0.0)[0].u
+
+
+@pytest.mark.parametrize("name", ["single_source", "three_sources"])
+@pytest.mark.parametrize("range_m", [None, 17.0])
+def test_calibrate_probes_match_the_find_peaks_read(tmp_path, capsys, name,
+                                                    range_m):
+    data = yaml.safe_load(scenario_path(name).read_text())
+    data["sim"].pop("calibration_range_m", None)
+    if range_m is not None:
+        data["sim"]["calibration_range_m"] = range_m
+    cfg = tmp_path / "cal.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["calibrate", "--config", str(cfg)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("probe")]
+    config = load_config_file(cfg)
+    sim = config.sim
+    cal = calibrate_axis(config.geometry, config.comb,
+                         sim.lo_for(config.comb), sim.phase_sign,
+                         sim.grid_points, sim.calibration_range_m)
+    want = []
+    for u in (-0.8, -0.35, 0.15, 0.6):
+        est = _find_peaks_probe_u(config, cal, u)
+        want.append(f"probe u={u!r}: estimated_u={est!r} "
+                    f"residual={est - u!r}")
+    assert lines == want

@@ -117,7 +117,7 @@ def test_scene_element_phasors_match_scalar_oracle(
     tones = tuple(range(e, 0, -1) if descending else range(1, e + 1))
     f_lo = lo_fraction * f0
     ps = scene_element_phasors(scene, geometry, comb,
-                               TuningPlan(tone_indices=tones, order="any"),
+                               TuningPlan(tone_indices=tones),
                                f_lo, sign)
     freqs = [tone_frequency(comb, t) for t in tones]
     want = comb_amplitude * _oracle_field(scene, element_positions(geometry),

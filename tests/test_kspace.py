@@ -46,7 +46,7 @@ def test_assign_tuning_rejects_mismatches(demo_comb):
     with pytest.raises(ValueError):
         assign_tuning(linear_array(20, D21), demo_comb)
     with pytest.raises(ValueError):
-        TuningPlan(tone_indices=(1, 1, 3), order="ascending")
+        TuningPlan(tone_indices=(1, 1, 3))
 
 
 def test_wrap_unit_values():

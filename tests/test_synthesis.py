@@ -1,19 +1,29 @@
-"""The FFT envelope synthesizer against the dense element × sample sum,
-whole-period grid checks, and the closed-form plane-wave calibration."""
+"""The FFT envelope and RF synthesizer against the dense element × sample
+sum, a guard that the dense sum stays off runtime paths, whole-period grid
+checks, and the closed-form plane-wave calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combbeam.analysis import brute_force_peak
-from combbeam.geometry import Scene, Source, linear_array
+from combbeam import analysis, kspace
+from combbeam.analysis import (
+    brute_force_peak,
+    compare_methods,
+    peak_time_report,
+    snr_gain,
+)
+from combbeam.cli import load_config_file, main, scenario_path
+from combbeam.geometry import Scene, Source, Vec3, linear_array
 from combbeam.kspace import (
     SimConfig,
     assign_tuning,
     beamform_envelope,
+    beamform_rf,
     calibrate_axis,
     complex_field,
     default_time_grid,
@@ -64,6 +74,76 @@ def test_envelope_matches_dense_sum(n, descending, f_lo, t0_periods, periods,
     assert np.abs(periodic_field(ps, t) - dense).max() <= 1e-9 * bound
     env = beamform_envelope(ps, t).envelope
     assert np.abs(env - np.abs(dense)).max() <= 1e-9 * bound
+
+
+@given(n=st.integers(2, 40), dx=st.floats(1e-3, 0.05),
+       descending=st.booleans(), farfield=st.booleans(),
+       sources=st.lists(st.tuples(st.floats(-0.95, 0.95), st.floats(0.5, 50.0),
+                                  st.floats(0.0, 2.0),
+                                  st.floats(-math.pi, math.pi)),
+                        min_size=1, max_size=3),
+       f0=st.floats(1e9, 20e9), delta_f=st.floats(2e5, 1e6),
+       t0_periods=st.floats(0.0, 1.0), periods=st.integers(1, 3),
+       grid_points=st.integers(2, 300))
+@settings(max_examples=100, deadline=None)
+def test_rf_is_the_real_part_of_the_dense_sum(n, dx, descending, farfield,
+                                              sources, f0, delta_f,
+                                              t0_periods, periods,
+                                              grid_points):
+    # linear scenes at f_lo = 0: the phasors carry GHz carriers
+    if farfield:
+        scene = Scene(sources=tuple(Source.farfield(u, 0.0, a, ph)
+                                    for u, _, a, ph in sources),
+                      model="far-field")
+    else:
+        scene = Scene(sources=tuple(
+            Source.point(Vec3(r * u, 0.0, r * math.sqrt(1.0 - u * u)), a, ph)
+            for u, r, a, ph in sources))
+    comb = CombSpec(f0_hz=f0, delta_f_hz=delta_f, num_tones=n,
+                    duration_s=periods / delta_f)
+    geom = linear_array(n, dx, tuning_order="descending" if descending
+                        else "ascending")
+    ps = scene_element_phasors(scene, geom, comb, assign_tuning(geom, comb),
+                               0.0)
+    t = (t0_periods + np.arange(grid_points) * periods / grid_points) / delta_f
+    bound = float(np.abs(ps.amplitude_vector()).sum())
+    assert np.abs(beamform_rf(ps, t) - complex_field(ps, t).real).max() \
+        <= 1e-9 * bound
+
+
+def test_rf_rejects_grids_the_fft_cannot_synthesize():
+    ps = _random_phasors(np.random.default_rng(0), 5, False, 0.0)
+    with pytest.raises(ValueError, match="0.62"):
+        beamform_rf(ps, np.arange(100) * (3.1e-6 / 100))
+    bent = np.arange(64) * (5e-6 / 64)
+    bent[10] += 0.3 * bent[1]
+    with pytest.raises(ValueError, match="uniform"):
+        beamform_rf(ps, bent)
+
+
+def test_dense_sum_stays_off_runtime_paths(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense complex_field ran on a runtime path")
+
+    monkeypatch.setattr(kspace, "complex_field", refuse)
+    monkeypatch.setattr(analysis, "complex_field", refuse)
+    cfg = load_config_file(scenario_path("three_sources"))
+    scene, geom, comb, sim = cfg.scene, cfg.geometry, cfg.comb, cfg.sim
+    noisy = replace(sim, noise=NoiseSpec(sigma=0.5, seed=3))
+    assert len(run_beamform(scene, geom, comb, noisy).peaks) == 3
+    snr_gain(scene, geom, comb, 0.7, trials=3, config=sim)
+    peak_time_report(scene, geom, comb, sim)
+    compare_methods(scene, geom, comb, sim)
+    rf_cfg = tmp_path / "rf.yaml"
+    rf_cfg.write_text(scenario_path("three_sources").read_text().replace(
+        "output: {}", "output: {emit_rf: true}"))
+    assert main(["simulate", "--config", str(rf_cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "rf.csv").exists()
+    assert main(["calibrate", "--config", str(rf_cfg)]) == 0
+    # the guard is live: the oracle itself still reaches the patched sum
+    with pytest.raises(AssertionError, match="runtime path"):
+        brute_force_peak(run_beamform(scene, geom, comb, sim).phasors)
 
 
 @pytest.mark.parametrize("f_lo", [0.0, 19.0e9, F0])
