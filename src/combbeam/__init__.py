@@ -29,8 +29,6 @@ from .kspace import (
     BeamformOutput,
     Peak,
     SimConfig,
-    TuningPlan,
-    assign_tuning,
     beamform_envelope,
     beamform_rf,
     calibrate_axis,
@@ -71,10 +69,9 @@ __all__ = [
     "SPEED_OF_LIGHT", "CombSpec", "tone_frequency", "wavelength",
     "NoiseSpec", "PhaseSign", "PhasorSet", "received_phase_exact",
     "received_phase_farfield", "scene_element_phasors",
-    "AxisCalibration", "BeamformOutput", "Peak", "SimConfig", "TuningPlan",
-    "assign_tuning", "beamform_envelope", "beamform_rf", "calibrate_axis",
-    "estimate_azimuths", "find_peaks", "run_beamform", "time_to_u",
-    "u_to_azimuth",
+    "AxisCalibration", "BeamformOutput", "Peak", "SimConfig",
+    "beamform_envelope", "beamform_rf", "calibrate_axis", "estimate_azimuths",
+    "find_peaks", "run_beamform", "time_to_u", "u_to_azimuth",
     "ElementPattern", "PhaseMap", "beamform_conventional",
     "curvature_profile", "phase_map", "scene_snapshot", "steering_vector",
     "MethodComparison", "PeakTimeReport", "SweepResult", "brute_force_peak",

@@ -21,7 +21,6 @@ from .kspace import (
     _peak_time,
     _quadratic_peak,
     _thin_peaks,
-    _tuned_phasors,
     calibrate_axis,
     complex_field,
     default_time_grid,
@@ -30,7 +29,8 @@ from .kspace import (
     time_to_u,
     u_to_azimuth,
 )
-from .propagation import NoiseSpec, PhaseSign, PhasorSet, summed_noise
+from .propagation import (NoiseSpec, PhaseSign, PhasorSet,
+                          scene_element_phasors, summed_noise)
 from .waveform import CombSpec, wavelength
 
 __all__ = [
@@ -210,6 +210,18 @@ def compare_methods(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     )
 
 
+def _sweep_step(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
+                config: SimConfig, true_az_deg: float,
+                point: str) -> tuple[float, float, float]:
+    """Azimuth error (deg), magnitude and peak_width_u of run_beamform's top
+    peak at one sweep point; ValueError naming ``point`` if it finds none."""
+    out = run_beamform(scene, geometry, comb, config)
+    if not out.peaks:
+        raise ValueError(f"sweep point {point}: no peak found")
+    top = out.peaks[0]
+    return top.azimuth_deg - true_az_deg, top.magnitude, peak_width_u(out, top)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Per-value metrics from a one-parameter sweep."""
@@ -242,12 +254,8 @@ def nearfield_error_sweep(az_deg: float, ranges_m, geometry: ArrayGeometry,
     for i, r in enumerate(ranges):
         scene = Scene(sources=(source_from_az_range(az_deg, float(r)),))
         cfg = replace(config, calibration_range_m=float(r))
-        out = run_beamform(scene, geometry, comb, cfg)
-        assert out.peaks
-        top = out.peaks[0]
-        errors[i] = top.azimuth_deg - az_deg
-        mags[i] = top.magnitude
-        widths[i] = peak_width_u(out, top)
+        errors[i], mags[i], widths[i] = _sweep_step(
+            scene, geometry, comb, cfg, az_deg, f"range_m={r}")
     return SweepResult(parameter="range_m", values=ranges,
                        az_error_deg=errors, peak_magnitude=mags,
                        width_u=widths)
@@ -271,15 +279,15 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
-    phasors = _tuned_phasors(scene, geometry, comb, config.lo_for(comb),
-                             config.phase_sign)
+    phasors = scene_element_phasors(scene, geometry, comb,
+                                    config.lo_for(comb), config.phase_sign)
     grid = default_time_grid(comb, config.grid_points)
     z_clean = periodic_field(phasors, grid)
     i_peak = int(np.argmax(np.abs(z_clean)))
     n = grid.size
     num_elements = len(phasors)
 
-    sig_power = float(np.mean(np.abs(phasors.amplitude_vector()) ** 2))
+    sig_power = float(np.mean(np.abs(phasors.amplitudes) ** 2))
     if sig_power == 0.0:
         raise ValueError("scene delivers zero signal power")
     snr_in = sig_power / sigma ** 2
@@ -335,8 +343,8 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     """
     f_lo = config.lo_for(comb)
     grid = default_time_grid(comb, config.grid_points)
-    times = {s: _peak_time(_tuned_phasors(scene, geometry, comb, f_lo, s),
-                           grid) % comb.period_s
+    times = {s: _peak_time(scene_element_phasors(scene, geometry, comb, f_lo,
+                                                 s), grid) % comb.period_s
              for s in (PhaseSign.DELAY, PhaseSign.ADVANCE)}
     cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
                          config.grid_points, config.calibration_range_m)

@@ -71,7 +71,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 import yaml
 
-from .analysis import peak_width_u
+from .analysis import _sweep_step
 from .conventional import curvature_profile, phase_map
 from .geometry import (
     ArrayGeometry,
@@ -82,9 +82,9 @@ from .geometry import (
     source_from_az_range,
 )
 from .kspace import (
+    AxisCalibration,
     SimConfig,
     _peak_time,
-    _tuned_phasors,
     beamform_rf,
     calibrate_axis,
     default_time_grid,
@@ -94,7 +94,7 @@ from .kspace import (
     u_to_azimuth,
     whole_periods,
 )
-from .propagation import NoiseSpec, PhaseSign
+from .propagation import NoiseSpec, PhaseSign, scene_element_phasors
 from .waveform import CombSpec
 
 __all__ = [
@@ -279,16 +279,15 @@ def _check_duration(comb: CombSpec, what: str) -> None:
         raise ConfigError(f"{what}: {e}") from e
 
 
-def _check_tunable(comb: CombSpec, geometry: ArrayGeometry,
-                   what: str = "") -> None:
-    """Config error unless run_beamform and calibrate_axis accept the array."""
-    if geometry.kind != "linear":
-        raise ConfigError(f"{what}array.kind: tone tuning needs 'linear'")
-    if geometry.m != comb.num_tones:
-        raise ConfigError(f"{what}array.m ({geometry.m}) must equal "
-                          f"comb.num_tones ({comb.num_tones})")
-    if comb.num_tones < 2:
-        raise ConfigError(f"{what}comb.num_tones: calibration needs >= 2 tones")
+def _check_tunable(comb: CombSpec, geometry: ArrayGeometry, sim: SimConfig,
+                   what: str = "") -> AxisCalibration:
+    """run_beamform's axis calibration for these settings; its ValueError for
+    an untunable array (see calibrate_axis) becomes a config error."""
+    try:
+        return calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
+                              sim.grid_points, sim.calibration_range_m)
+    except ValueError as e:
+        raise ConfigError(f"{what}{e}") from e
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -433,7 +432,8 @@ def write_csv_atomic(path: Path, header: Sequence[str],
 
 
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
-    _check_tunable(config.comb, config.geometry)
+    map_source = _phase_map_source(config) if config.emit_phase_map else None
+    _check_tunable(config.comb, config.geometry, config.sim)
     out = run_beamform(config.scene, config.geometry, config.comb, config.sim)
     assert out.u is not None and out.azimuth_deg is not None
     write_csv_atomic(
@@ -447,25 +447,34 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
         ["time_s", "u", "azimuth_deg", "magnitude"],
         ((p.time_s, p.u, p.azimuth_deg, p.magnitude) for p in out.peaks),
     )
-    assert out.phasors is not None
+    ps = out.phasors
+    assert ps is not None
+    # Python abs(complex) per element: np.abs may differ in the last bit
     write_csv_atomic(
         out_dir / "phasors.csv",
         ["element", "tone", "baseband_hz", "magnitude", "phase_rad"],
-        ((p.element, p.tone, p.baseband_hz, p.magnitude, p.angle_rad)
-         for p in out.phasors),
+        ((e, tone, bb, abs(a), float(np.angle(a))) for e, (tone, bb, a)
+         in enumerate(zip(ps.tones, ps.baseband_hz, ps.amplitudes.tolist()))),
     )
     if config.emit_rf:
-        phasors = _tuned_phasors(config.scene, config.geometry, config.comb,
-                                 0.0, config.sim.phase_sign)
+        phasors = scene_element_phasors(config.scene, config.geometry,
+                                        config.comb, 0.0, config.sim.phase_sign)
         write_csv_atomic(out_dir / "rf.csv", ["time_s", "rf"],
                          zip(out.time_s, beamform_rf(phasors, out.time_s)))
-    if config.emit_phase_map:
-        _write_phase_map(config, out_dir, with_curvature=False)
+    if map_source is not None:
+        _write_phase_map(config, map_source, out_dir, with_curvature=False)
 
 
-def _write_phase_map(config: ScenarioConfig, out_dir: Path,
+def _phase_map_source(config: ScenarioConfig) -> Source:
+    """The scenario's one source: a phase map shows one wavefront."""
+    if len(config.scene.sources) != 1:
+        raise ConfigError("sources: a phase map needs exactly one source, "
+                          f"got {len(config.scene.sources)}")
+    return config.scene.sources[0]
+
+
+def _write_phase_map(config: ScenarioConfig, src: Source, out_dir: Path,
                      with_curvature: bool) -> None:
-    src = config.scene.sources[0]
     freq = config.comb.center_frequency_hz
     pm = phase_map(config.geometry, src, freq)
     rows = [(mi, ni, pm.x_m[mi], pm.y_m[ni], pm.phase_deg[mi, ni])
@@ -484,9 +493,10 @@ def _write_phase_map(config: ScenarioConfig, out_dir: Path,
 def cmd_phase_map(config: ScenarioConfig, out_dir: Path) -> None:
     if config.geometry.kind != "planar":
         raise ConfigError("phase-map needs a planar array")
-    if config.scene.sources[0].is_farfield:
+    src = _phase_map_source(config)
+    if src.is_farfield:
         raise ConfigError("phase-map needs a point source")
-    _write_phase_map(config, out_dir, with_curvature=True)
+    _write_phase_map(config, src, out_dir, with_curvature=True)
 
 
 _SWEEP_PARAMS = ("range_m", "num_tones", "delta_f_hz", "spacing_m")
@@ -515,14 +525,15 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
     base = config.scene.sources[0]
     if base.is_farfield:
         if param == "range_m":
-            raise ValueError("range sweep needs a point source")
+            raise ConfigError("--param range_m: a range sweep needs a point "
+                              "source, not a plane wave")
         true_az = u_to_azimuth(base.direction[0])
     else:
         assert base.position is not None
         true_az = azimuth_of(base.position)
 
     # build every point before running any, so a bad value fails early
-    points = []
+    points, tunable = [], set()
     for value in values:
         comb, geometry, scene, sim = (config.comb, config.geometry,
                                       config.scene, config.sim)
@@ -542,17 +553,14 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
             raise ConfigError(f"--values: {param}={value!r}: {e}") from e
         _check_duration(comb, f"--values: {param}={value!r} with "
                               "comb.duration_s")
-        _check_tunable(comb, geometry, f"--values: {param}={value!r}: ")
+        if (comb, geometry) not in tunable:    # once per array, not per range
+            _check_tunable(comb, geometry, sim, f"--values: {param}={value!r}: ")
+            tunable.add((comb, geometry))
         points.append((value, comb, geometry, scene, sim))
 
-    rows = []
-    for value, comb, geometry, scene, sim in points:
-        out = run_beamform(scene, geometry, comb, sim)
-        if not out.peaks:
-            raise ValueError(f"sweep point {param}={value}: no peak found")
-        top = out.peaks[0]
-        rows.append((value, top.azimuth_deg - true_az, top.magnitude,
-                     peak_width_u(out, top)))
+    rows = [(value, *_sweep_step(scene, geometry, comb, sim, true_az,
+                                 f"{param}={value}"))
+            for value, comb, geometry, scene, sim in points]
     write_csv_atomic(out_dir / "sweep.csv",
                      ["value", "az_error_deg", "peak_magnitude", "width_u"],
                      rows)
@@ -563,17 +571,15 @@ _HELD_OUT_PROBES = (-0.8, -0.35, 0.15, 0.6)
 
 def cmd_calibrate(config: ScenarioConfig) -> None:
     comb, geometry, sim = config.comb, config.geometry, config.sim
-    _check_tunable(comb, geometry)
+    cal = _check_tunable(comb, geometry, sim)
     f_lo = sim.lo_for(comb)
-    cal = calibrate_axis(geometry, comb, f_lo, sim.phase_sign,
-                         sim.grid_points, sim.calibration_range_m)
     print(f"slope_sign={cal.slope_sign}")
     print(f"t0_s={cal.t0_s!r}")
     print(f"delta_f_hz={cal.delta_f_hz!r}")
     grid = default_time_grid(comb, sim.grid_points)
     for u in _HELD_OUT_PROBES:
-        phasors = _tuned_phasors(probe_scene(u, sim.calibration_range_m),
-                                 geometry, comb, f_lo, sim.phase_sign)
+        phasors = scene_element_phasors(probe_scene(u, sim.calibration_range_m),
+                                        geometry, comb, f_lo, sim.phase_sign)
         u_est = time_to_u(cal, _peak_time(phasors, grid))
         print(f"probe u={u!r}: estimated_u={u_est!r} residual={u_est - u!r}")
 

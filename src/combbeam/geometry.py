@@ -151,8 +151,9 @@ class ArrayGeometry:
 
     Element (m, n) sits at origin + (m·dx, n·dy, 0) for m in [0, M) and
     n in [0, N_y). ``linear`` arrays have n fixed at 0 (``n == 1`` column).
-    ``tuning_order`` controls how comb tones map onto elements: ``ascending``
-    gives element m tone index m+1, ``descending`` reverses that.
+    ``tuning_order`` is read by scene_element_phasors, which tunes a linear
+    array of comb.num_tones elements: ``ascending`` gives element m tone
+    m+1, ``descending`` tone num_tones−m.
     """
 
     kind: Literal["linear", "planar"]

@@ -25,8 +25,6 @@ from .propagation import (
 from .waveform import CombSpec
 
 __all__ = [
-    "TuningPlan",
-    "assign_tuning",
     "AxisCalibration",
     "wrap_unit",
     "time_to_u",
@@ -47,48 +45,6 @@ __all__ = [
     "run_beamform",
     "estimate_azimuths",
 ]
-
-
-@dataclass(frozen=True)
-class TuningPlan:
-    """Element→tone assignment. tone_indices[e] is the 1-based comb tone
-    element e listens at; the assignment must be a bijection onto 1..N."""
-
-    tone_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tone_indices", tuple(self.tone_indices))
-        n = len(self.tone_indices)
-        if sorted(self.tone_indices) != list(range(1, n + 1)):
-            raise ValueError(
-                "tone_indices must be a permutation of 1..num_elements"
-            )
-
-
-def assign_tuning(geometry: ArrayGeometry, comb: CombSpec) -> TuningPlan:
-    """One tone per element along a linear array.
-
-    ascending: element m gets tone m+1; descending reverses the order.
-    Requires a linear array with exactly num_tones elements.
-    """
-    if geometry.kind != "linear":
-        raise ValueError("tone tuning is defined for linear arrays only")
-    if geometry.m != comb.num_tones:
-        raise ValueError(
-            f"array has {geometry.m} elements but the comb has "
-            f"{comb.num_tones} tones"
-        )
-    idx = tuple(range(1, comb.num_tones + 1))
-    if geometry.tuning_order == "descending":
-        idx = idx[::-1]
-    return TuningPlan(tone_indices=idx)
-
-
-def _tuned_phasors(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
-                   f_lo_hz: float, sign: PhaseSign) -> PhasorSet:
-    """The scene's element phasors on the array tuned by assign_tuning."""
-    return scene_element_phasors(scene, geometry, comb,
-                                 assign_tuning(geometry, comb), f_lo_hz, sign)
 
 
 def wrap_unit(x):
@@ -148,8 +104,7 @@ def complex_field(phasors: PhasorSet, time_s) -> np.ndarray:
     t = np.asarray(time_s, dtype=float)
     if t.size == 0:
         raise ValueError("time grid is empty")
-    amps = phasors.amplitude_vector()
-    nu = phasors.baseband_vector()
+    amps, nu = phasors.amplitudes, phasors.baseband_hz
     return (amps[None, :] * np.exp(2j * np.pi * nu[None, :] * t[:, None])).sum(axis=1)
 
 
@@ -194,8 +149,7 @@ def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     if np.abs(t - (t[0] + np.arange(g) * dt)).max() > 1e-9 * g * dt:
         raise ValueError("time grid is not uniform")
     periods = whole_periods(g * dt, phasors.delta_f_hz)
-    amps = phasors.amplitude_vector()
-    nu = phasors.baseband_vector()
+    amps, nu = phasors.amplitudes, phasors.baseband_hz
     nu_min = float(nu.min())
     steps = (nu - nu_min) / phasors.delta_f_hz
     m = np.rint(steps)
@@ -397,18 +351,19 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
     Each probe's peak time is read by _peak_time: the refined largest
     sample of its FFT envelope on default_time_grid(comb, grid_points).
+    ValueError for an array the comb cannot tune, then for < 2 comb tones.
     """
+    def probe(u: float) -> PhasorSet:
+        return scene_element_phasors(probe_scene(u, reference_range_m),
+                                     geometry, comb, f_lo_hz, sign)
+
+    half = probe(0.5)    # an array the comb cannot tune fails here first
     if comb.num_tones < 2:
-        raise ValueError("axis calibration needs at least 2 comb tones")
+        raise ValueError("comb.num_tones: axis calibration needs >= 2 tones")
     grid = default_time_grid(comb, grid_points)
-
-    def probe_peak_time(u: float) -> float:
-        return _peak_time(_tuned_phasors(probe_scene(u, reference_range_m),
-                                         geometry, comb, f_lo_hz, sign), grid)
-
-    period = comb.period_s
-    t0 = 0.0 if reference_range_m is None else probe_peak_time(0.0) % period
-    t_half = probe_peak_time(0.5)
+    t0 = (0.0 if reference_range_m is None
+          else _peak_time(probe(0.0), grid) % comb.period_s)
+    t_half = _peak_time(half, grid)
     best_sign = min((-1, 1), key=lambda s: abs(
         float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
     return AxisCalibration(slope_sign=best_sign, t0_s=t0,
@@ -466,7 +421,8 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                  config: SimConfig = SimConfig()) -> BeamformOutput:
     """Full pipeline: tune, propagate, calibrate, beamform, find peaks."""
     f_lo = config.lo_for(comb)
-    phasors = _tuned_phasors(scene, geometry, comb, f_lo, config.phase_sign)
+    phasors = scene_element_phasors(scene, geometry, comb, f_lo,
+                                    config.phase_sign)
     calibration = calibrate_axis(geometry, comb, f_lo, config.phase_sign,
                                  config.grid_points,
                                  config.calibration_range_m)

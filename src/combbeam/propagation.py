@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -22,15 +21,11 @@ from .geometry import (ArrayGeometry, Scene, Source, Vec3, distance,
                        element_positions_array)
 from .waveform import SPEED_OF_LIGHT, CombSpec
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .kspace import TuningPlan
-
 __all__ = [
     "PhaseSign",
     "wrap_phase",
     "received_phase_exact",
     "received_phase_farfield",
-    "ElementPhasor",
     "PhasorSet",
     "NoiseSpec",
     "complex_noise",
@@ -106,83 +101,36 @@ def received_phase_farfield(source: Source, element_pos: Vec3, freq_hz: float,
                       + source.phase_rad)
 
 
-@dataclass(frozen=True)
-class ElementPhasor:
-    """Complex amplitude received by one element at its assigned tone."""
-
-    element: int
-    tone: int              # 1-based comb tone index
-    amplitude: complex
-    baseband_hz: float     # tone frequency minus the mixer LO
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.amplitude)
-
-    @property
-    def angle_rad(self) -> float:
-        return float(np.angle(self.amplitude))
-
-
+@dataclass(frozen=True, eq=False)
 class PhasorSet:
-    """All element phasors for one scene, plus the mixing parameters.
+    """One scene's element phasors as read-only (E,) arrays over elements
+    0..E−1: complex ``amplitudes``, 1-based comb ``tones`` and
+    ``baseband_hz`` (tone frequency minus the mixer LO ``f_lo_hz``), plus
+    the comb spacing ``delta_f_hz``."""
 
-    Held as arrays over elements 0..E−1. Build it from ElementPhasor objects
-    numbered 0..E−1 in order, or with ``from_arrays``; indexing and
-    iteration yield ElementPhasor views.
-    """
+    amplitudes: np.ndarray
+    tones: np.ndarray
+    baseband_hz: np.ndarray
+    f_lo_hz: float
+    delta_f_hz: float
 
-    def __init__(self, phasors: Iterable[ElementPhasor], f_lo_hz: float,
-                 delta_f_hz: float) -> None:
-        ps = tuple(phasors)
-        if [p.element for p in ps] != list(range(len(ps))):
-            raise ValueError("phasors must be numbered 0..E-1 in order")
-        self._fill([p.amplitude for p in ps], [p.tone for p in ps],
-                   [p.baseband_hz for p in ps], f_lo_hz, delta_f_hz)
-
-    @classmethod
-    def from_arrays(cls, amplitudes, tones, baseband_hz, f_lo_hz: float,
-                    delta_f_hz: float) -> "PhasorSet":
-        """From (E,) arrays: amplitudes, 1-based tones, baseband Hz."""
-        ps = cls.__new__(cls)
-        ps._fill(amplitudes, tones, baseband_hz, f_lo_hz, delta_f_hz)
-        return ps
-
-    def _fill(self, amplitudes, tones, baseband_hz, f_lo_hz: float,
-              delta_f_hz: float) -> None:
-        if len(amplitudes) == 0:
-            raise ValueError("PhasorSet needs at least one phasor")
-        if not (math.isfinite(f_lo_hz) and f_lo_hz >= 0):
-            raise ValueError(f"f_lo_hz must be >= 0, got {f_lo_hz!r}")
-        if not (math.isfinite(delta_f_hz) and delta_f_hz > 0):
-            raise ValueError(f"delta_f_hz must be > 0, got {delta_f_hz!r}")
-        self.f_lo_hz, self.delta_f_hz = f_lo_hz, delta_f_hz
-        self._amps = np.array(amplitudes, dtype=complex)
-        self._tones = np.array(tones, dtype=int)
-        self._baseband = np.array(baseband_hz, dtype=float)
-
-    @property
-    def phasors(self) -> tuple[ElementPhasor, ...]:
-        return tuple(self)
+    def __post_init__(self) -> None:
+        for name, dtype in (("amplitudes", complex), ("tones", int),
+                            ("baseband_hz", float)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if not (self.amplitudes.ndim == 1 and len(self.amplitudes) > 0
+                and self.tones.shape == self.baseband_hz.shape
+                == self.amplitudes.shape):
+            raise ValueError("PhasorSet needs (E,) arrays of one length E >= 1")
+        if not (math.isfinite(self.f_lo_hz) and self.f_lo_hz >= 0):
+            raise ValueError(f"f_lo_hz must be >= 0, got {self.f_lo_hz!r}")
+        if not (math.isfinite(self.delta_f_hz) and self.delta_f_hz > 0):
+            raise ValueError(f"delta_f_hz must be > 0, got {self.delta_f_hz!r}")
 
     def __len__(self) -> int:
-        return len(self._amps)
-
-    def __iter__(self) -> Iterator[ElementPhasor]:
-        return (self[e] for e in range(len(self)))
-
-    def __getitem__(self, i: int) -> ElementPhasor:
-        e = range(len(self))[i]
-        return ElementPhasor(e, int(self._tones[e]), complex(self._amps[e]),
-                             float(self._baseband[e]))
-
-    def amplitude_vector(self) -> np.ndarray:
-        """Complex amplitudes, shape (num_elements,)."""
-        return self._amps.copy()
-
-    def baseband_vector(self) -> np.ndarray:
-        """Post-mixer frequencies (Hz), shape (num_elements,)."""
-        return self._baseband.copy()
+        return len(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -273,25 +221,28 @@ def element_field(scene: Scene, positions: np.ndarray, freq_hz,
 
 
 def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
-                          comb: CombSpec, tuning: "TuningPlan",
-                          f_lo_hz: float,
+                          comb: CombSpec, f_lo_hz: float,
                           sign: PhaseSign = PhaseSign.DELAY) -> PhasorSet:
-    """Superpose all scene sources into one phasor per element.
+    """Superpose all scene sources into one phasor per element of the
+    comb-tuned array.
 
-    Element e listens only at its assigned tone (tuning.tone_indices[e]).
-    Each source contributes comb.amplitude·source.amplitude at the model's
+    The array must be linear with one element per comb tone (array.m ==
+    comb.num_tones); otherwise ValueError. Element e listens only at tone
+    e+1, or tone N−e under ``geometry.tuning_order == "descending"``. Each
+    source contributes comb.amplitude·source.amplitude at the model's
     received phase; contributions add coherently. ``f_lo_hz`` sets the
     post-mixer baseband frequency of each phasor (0 keeps RF).
     """
-    if len(tuning.tone_indices) != geometry.num_elements:
-        raise ValueError(
-            f"tuning covers {len(tuning.tone_indices)} elements, "
-            f"array has {geometry.num_elements}"
-        )
-    if geometry.num_elements > comb.num_tones:
-        raise ValueError(f"tone indices exceed the comb's {comb.num_tones}")
-    tones = np.array(tuning.tone_indices)
+    if geometry.kind != "linear":
+        raise ValueError("array.kind must be 'linear' for tone tuning, "
+                         f"got {geometry.kind!r}")
+    if geometry.m != comb.num_tones:
+        raise ValueError(f"array.m ({geometry.m}) must equal "
+                         f"comb.num_tones ({comb.num_tones})")
+    tones = np.arange(1, comb.num_tones + 1)
+    if geometry.tuning_order == "descending":
+        tones = tones[::-1]
     freqs = comb.f0_hz + tones * comb.delta_f_hz
     field = element_field(scene, element_positions_array(geometry), freqs, sign)
-    return PhasorSet.from_arrays(comb.amplitude * field, tones,
-                                 freqs - f_lo_hz, f_lo_hz, comb.delta_f_hz)
+    return PhasorSet(comb.amplitude * field, tones, freqs - f_lo_hz, f_lo_hz,
+                     comb.delta_f_hz)

@@ -30,7 +30,7 @@ from combbeam.kspace import (
     find_peaks,
     run_beamform,
 )
-from combbeam.propagation import ElementPhasor, PhasorSet
+from combbeam.propagation import PhasorSet
 from combbeam.waveform import SPEED_OF_LIGHT, CombSpec
 
 
@@ -123,11 +123,10 @@ def test_04_farfield_probe_exactness(demo_comb, demo_geometry, demo_config):
 
 
 def test_05_dirichlet_envelope_and_sidelobe(demo_comb):
-    phasors = PhasorSet(
-        phasors=tuple(ElementPhasor(e, e + 1, 1.0 + 0.0j,
-                                    (e + 1) * demo_comb.delta_f_hz)
-                      for e in range(21)),
-        f_lo_hz=demo_comb.f0_hz, delta_f_hz=demo_comb.delta_f_hz)
+    tones = np.arange(1, 22)
+    phasors = PhasorSet(np.ones(21), tones, tones * demo_comb.delta_f_hz,
+                        f_lo_hz=demo_comb.f0_hz,
+                        delta_f_hz=demo_comb.delta_f_hz)
     t = np.arange(4096) * (demo_comb.period_s / 4096)
     out = beamform_envelope(phasors, t)
     psi = demo_comb.delta_f_hz * t
@@ -148,12 +147,10 @@ def test_05_dirichlet_envelope_and_sidelobe(demo_comb):
 
 def test_06_envelope_periodicity(demo_comb, demo_geometry, demo_scene,
                                  demo_config):
-    from combbeam.kspace import assign_tuning
     from combbeam.propagation import scene_element_phasors
 
-    phasors = scene_element_phasors(
-        demo_scene, demo_geometry, demo_comb,
-        assign_tuning(demo_geometry, demo_comb), 19e9)
+    phasors = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
+                                    19e9)
     grid = np.arange(8192) * (10e-6 / 8192)
     env = beamform_envelope(phasors, grid).envelope
     rel = float(np.max(np.abs(env[:4096] - env[4096:])) / env.max())

@@ -21,7 +21,6 @@ from combbeam.geometry import Scene, Source, linear_array
 from combbeam.kspace import (
     SimConfig,
     _quadratic_peak,
-    assign_tuning,
     complex_field,
     run_beamform,
 )
@@ -33,9 +32,7 @@ from conftest import D21
 
 @pytest.fixture()
 def demo_phasors(demo_comb, demo_geometry, demo_scene):
-    tuning = assign_tuning(demo_geometry, demo_comb)
-    return scene_element_phasors(demo_scene, demo_geometry, demo_comb,
-                                 tuning, 19e9)
+    return scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
 
 
 def test_brute_force_peak_against_dense_scan(demo_phasors):
@@ -87,8 +84,7 @@ def test_peak_time_report_matches_brute_force_oracle(n, u, descending,
                   model="far-field")
     config = SimConfig(lo_hz=19.0e9)
     rep = peak_time_report(scene, geom, comb, config)
-    phasors = scene_element_phasors(scene, geom, comb,
-                                    assign_tuning(geom, comb), 19.0e9,
+    phasors = scene_element_phasors(scene, geom, comb, 19.0e9,
                                     PhaseSign.DELAY)
     t_oracle, _ = brute_force_peak(phasors, grid_points=config.grid_points)
     period = comb.period_s

@@ -14,7 +14,6 @@ from combbeam.cli import (
 )
 from combbeam.kspace import (
     apply_calibration,
-    assign_tuning,
     beamform_envelope,
     calibrate_axis,
     default_time_grid,
@@ -164,6 +163,46 @@ def test_phase_map_rejects_linear_array(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "three_sources"),
+                                           ("phase-map", "oblique_map")])
+def test_phase_map_of_several_sources_is_a_config_error(tmp_path, capsys,
+                                                        command, name):
+    # phase maps once showed the first source alone and ignored the others
+    data = yaml.safe_load(scenario_path(name).read_text())
+    data["output"] = {"emit_phase_map": True}
+    data["sources"] = data["sources"][:1] + [{"position": [1.0, 0.0, 5.0]}]
+    cfg = tmp_path / "map.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: sources")
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+def test_simulate_emit_phase_map_writes_one_row_per_element(tmp_path):
+    text = scenario_path("single_source").read_text().replace(
+        "output: {}", "output: {emit_phase_map: true}")
+    cfg = tmp_path / "map.yaml"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "phase_map.csv")
+    assert header == ["m", "n", "x_m", "y_m", "phase_deg"]
+    assert len(rows) == 21
+    assert all(-180.0 < float(r[4]) <= 180.0 for r in rows)
+
+
+def test_sweep_point_without_a_peak_is_named(tmp_path, capsys):
+    # a silent source gives no peak; the point is named in the error
+    data = yaml.safe_load(scenario_path("single_source").read_text())
+    data["sources"][0]["amplitude"] = 0.0
+    cfg = tmp_path / "silent.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                 "--param", "range_m", "--values", "2,4"]) == 2
+    assert "sweep point range_m=2.0: no peak found" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_range(tmp_path):
     rc = main(["sweep", "--config", str(scenario_path("single_source")),
                "--out", str(tmp_path), "--param", "range_m",
@@ -186,7 +225,7 @@ def test_sweep_num_tones_width_scaling(tmp_path):
     assert w11 / w21 == pytest.approx(21 / 11, rel=0.10)
 
 
-def test_sweep_bad_param_and_values(tmp_path):
+def test_sweep_bad_param_and_values(tmp_path, capsys):
     base = ["sweep", "--config", str(scenario_path("single_source")),
             "--out", str(tmp_path)]
     assert main(base + ["--param", "frequency", "--values", "1"]) == 1
@@ -201,7 +240,8 @@ array: {kind: linear, m: 21, dx_m: 0.007887199631675874}
 sources: [{farfield: [0.5, 0.0]}]
 """)
     assert main(["sweep", "--config", str(ff), "--out", str(tmp_path),
-                 "--param", "range_m", "--values", "2,4"]) == 2
+                 "--param", "range_m", "--values", "2,4"]) == 1
+    assert "--param range_m" in capsys.readouterr().err
 
 
 def test_sweep_reruns_are_byte_identical_in_input_order(tmp_path):
@@ -377,8 +417,7 @@ def _find_peaks_probe_u(config, cal, u):
     axis, strongest find_peaks peak (no threshold thinning)."""
     comb, geometry, sim = config.comb, config.geometry, config.sim
     ps = scene_element_phasors(probe_scene(u, sim.calibration_range_m),
-                               geometry, comb, assign_tuning(geometry, comb),
-                               sim.lo_for(comb), sim.phase_sign)
+                               geometry, comb, sim.lo_for(comb), sim.phase_sign)
     out = beamform_envelope(ps, default_time_grid(comb, sim.grid_points))
     return find_peaks(apply_calibration(out, cal), 0.5, 0.0)[0].u
 

@@ -10,10 +10,8 @@ from combbeam.geometry import Scene, Source, Vec3, linear_array, planar_array
 from combbeam.kspace import (
     AxisCalibration,
     SimConfig,
-    TuningPlan,
     _quadratic_peak,
     apply_calibration,
-    assign_tuning,
     beamform_envelope,
     beamform_rf,
     calibrate_axis,
@@ -26,27 +24,30 @@ from combbeam.kspace import (
     u_to_azimuth,
     wrap_unit,
 )
-from combbeam.propagation import ElementPhasor, PhaseSign, PhasorSet, scene_element_phasors
+from combbeam.propagation import PhaseSign, PhasorSet, scene_element_phasors
 from combbeam.waveform import CombSpec
 
 from conftest import D21
 
 
-def test_assign_tuning_orders(demo_comb):
-    asc = assign_tuning(linear_array(21, D21), demo_comb)
-    assert asc.tone_indices == tuple(range(1, 22))
-    desc = assign_tuning(linear_array(21, D21, tuning_order="descending"),
-                         demo_comb)
-    assert desc.tone_indices == tuple(range(21, 0, -1))
+def test_scene_element_phasors_tuning_orders(demo_comb, demo_scene):
+    asc = scene_element_phasors(demo_scene, linear_array(21, D21), demo_comb,
+                                19e9)
+    assert tuple(asc.tones) == tuple(range(1, 22))
+    desc = scene_element_phasors(
+        demo_scene, linear_array(21, D21, tuning_order="descending"),
+        demo_comb, 19e9)
+    assert tuple(desc.tones) == tuple(range(21, 0, -1))
 
 
-def test_assign_tuning_rejects_mismatches(demo_comb):
-    with pytest.raises(ValueError):
-        assign_tuning(planar_array(3, 7, 0.01, 0.01), demo_comb)
-    with pytest.raises(ValueError):
-        assign_tuning(linear_array(20, D21), demo_comb)
-    with pytest.raises(ValueError):
-        TuningPlan(tone_indices=(1, 1, 3))
+def test_scene_element_phasors_rejects_untunable_arrays(demo_comb,
+                                                        demo_scene):
+    with pytest.raises(ValueError, match="array.kind"):
+        scene_element_phasors(demo_scene, planar_array(3, 7, 0.01, 0.01),
+                              demo_comb, 19e9)
+    with pytest.raises(ValueError, match="array.m"):
+        scene_element_phasors(demo_scene, linear_array(20, D21), demo_comb,
+                              19e9)
 
 
 def test_wrap_unit_values():
@@ -117,8 +118,7 @@ def _boresight_phasors(num_tones=21, f_lo=19.0e9, amplitude=1.0):
                     duration_s=5e-6, amplitude=amplitude)
     geom = linear_array(num_tones, D21)
     scene = Scene(sources=(Source.farfield(0.0, 0.0),), model="far-field")
-    tuning = assign_tuning(geom, comb)
-    return comb, scene_element_phasors(scene, geom, comb, tuning, f_lo)
+    return comb, scene_element_phasors(scene, geom, comb, f_lo)
 
 
 def test_boresight_envelope_is_dirichlet_kernel():
@@ -149,23 +149,20 @@ def test_envelope_peak_bounded_by_total_amplitude():
                          phase_rad=float(rng.uniform(-3, 3)))
             for _ in range(int(rng.integers(1, 4))))
         scene = Scene(sources=sources)
-        ps = scene_element_phasors(scene, geom, comb,
-                                   assign_tuning(geom, comb), 19e9)
+        ps = scene_element_phasors(scene, geom, comb, 19e9)
         env = beamform_envelope(ps, default_time_grid(comb, 2048)).envelope
         bound = n * comb.amplitude * sum(s.amplitude for s in sources)
         assert env.max() <= bound + 1e-9
 
 
 def test_demo_scene_peak_magnitude(demo_comb, demo_geometry, demo_scene):
-    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
-                               assign_tuning(demo_geometry, demo_comb), 19e9)
+    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
     env = beamform_envelope(ps, default_time_grid(demo_comb, 4096)).envelope
     assert env.max() == pytest.approx(21.0, rel=0.01)
 
 
 def test_envelope_periodicity(demo_comb, demo_geometry, demo_scene):
-    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
-                               assign_tuning(demo_geometry, demo_comb), 19e9)
+    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
     # two full periods on one grid: second half must replay the first
     grid = np.arange(8192) * (10e-6 / 8192)
     env = beamform_envelope(ps, grid).envelope
@@ -174,12 +171,10 @@ def test_envelope_periodicity(demo_comb, demo_geometry, demo_scene):
 
 
 def test_envelope_is_lo_independent(demo_comb, demo_geometry, demo_scene):
-    tuning = assign_tuning(demo_geometry, demo_comb)
     grid = default_time_grid(demo_comb, 2048)
     envs = []
     for f_lo in (0.0, 19.0e9, 19.0008e9, 18.37e9):
-        ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
-                                   tuning, f_lo)
+        ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, f_lo)
         envs.append(beamform_envelope(ps, grid).envelope)
     for env in envs[1:]:
         np.testing.assert_allclose(env, envs[0], atol=1e-8)
@@ -192,8 +187,7 @@ def test_rf_route_matches_envelope_via_analytic_signal():
                     duration_s=5e-6)
     geom = linear_array(22, D21)
     scene = Scene(sources=(Source.farfield(0.0, 0.0),), model="far-field")
-    ps = scene_element_phasors(scene, geom, comb, assign_tuning(geom, comb),
-                               0.0)
+    ps = scene_element_phasors(scene, geom, comb, 0.0)
     grid = default_time_grid(comb, 4096)
     rf = beamform_rf(ps, grid)
     env = beamform_envelope(ps, grid).envelope
@@ -208,8 +202,7 @@ def test_rf_local_maxima_trace_envelope_within_grid_bound():
                     duration_s=5e-6)
     geom = linear_array(21, D21)
     scene = Scene(sources=(Source.farfield(0.0, 0.0),), model="far-field")
-    ps = scene_element_phasors(scene, geom, comb, assign_tuning(geom, comb),
-                               0.0)
+    ps = scene_element_phasors(scene, geom, comb, 0.0)
     grid = default_time_grid(comb, 2 ** 14)
     rf = np.abs(beamform_rf(ps, grid))
     env = beamform_envelope(ps, grid).envelope
@@ -222,8 +215,7 @@ def test_rf_local_maxima_trace_envelope_within_grid_bound():
 
 
 def test_rf_requires_zero_lo(demo_comb, demo_geometry, demo_scene):
-    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
-                               assign_tuning(demo_geometry, demo_comb), 19e9)
+    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
     with pytest.raises(ValueError):
         beamform_rf(ps, default_time_grid(demo_comb, 64))
 
@@ -245,8 +237,7 @@ def test_calibrate_descending_flips_slope(demo_comb):
 def test_calibrate_round_trips_probe(demo_comb, demo_geometry):
     cal = calibrate_axis(demo_geometry, demo_comb, 19e9)
     scene = Scene(sources=(Source.farfield(0.5, 0.0),), model="far-field")
-    ps = scene_element_phasors(scene, demo_geometry, demo_comb,
-                               assign_tuning(demo_geometry, demo_comb), 19e9)
+    ps = scene_element_phasors(scene, demo_geometry, demo_comb, 19e9)
     out = apply_calibration(
         beamform_envelope(ps, default_time_grid(demo_comb, 4096)), cal)
     top = find_peaks(out, 0.5, 0.0)[0]
@@ -296,8 +287,7 @@ def test_find_peaks_empty_for_silent_scene(demo_comb, demo_geometry):
 
 
 def test_find_peaks_rejects_constant_envelope():
-    ps = PhasorSet(phasors=(ElementPhasor(0, 1, 1 + 0j, 1e6),),
-                   f_lo_hz=19e9, delta_f_hz=0.2e6)
+    ps = PhasorSet([1 + 0j], [1], [1e6], f_lo_hz=19e9, delta_f_hz=0.2e6)
     out = beamform_envelope(ps, np.arange(64) * (5e-6 / 64))
     out = apply_calibration(out, AxisCalibration(-1, 0.0, 0.2e6))
     with pytest.raises(ValueError):
@@ -412,7 +402,6 @@ def test_sim_config_rejects_each_bad_field(field, bad):
 
 def test_complex_field_rejects_empty_grid(demo_comb, demo_geometry,
                                           demo_scene):
-    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
-                               assign_tuning(demo_geometry, demo_comb), 19e9)
+    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
     with pytest.raises(ValueError):
         complex_field(ps, np.array([]))

@@ -8,9 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from combbeam.geometry import Scene, Source, Vec3, linear_array, uv_to_direction
-from combbeam.kspace import assign_tuning
 from combbeam.propagation import (
-    ElementPhasor,
     NoiseSpec,
     PhaseSign,
     PhasorSet,
@@ -132,67 +130,61 @@ def test_wrong_source_kind_raises():
 
 
 def test_scene_phasors_demo_layout(demo_comb, demo_geometry, demo_scene):
-    tuning = assign_tuning(demo_geometry, demo_comb)
-    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, tuning,
+    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
                                19.0e9, PhaseSign.DELAY)
     assert len(ps) == 21
-    assert [p.element for p in ps] == list(range(21))
-    assert [p.tone for p in ps] == list(range(1, 22))
+    assert ps.amplitudes.shape == ps.baseband_hz.shape == (21,)
+    assert ps.tones.tolist() == list(range(1, 22))
     # element m hears tone m+1, mixed down to 1.0 + 0.2*m MHz
-    np.testing.assert_allclose(ps.baseband_vector(),
+    np.testing.assert_allclose(ps.baseband_hz,
                                1.0e6 + 0.2e6 * np.arange(21), rtol=0, atol=1e-6)
-    np.testing.assert_allclose(np.abs(ps.amplitude_vector()), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(ps.amplitudes), 1.0, atol=1e-12)
     # each phasor's angle is the per-element received phase
     src = demo_scene.sources[0]
-    for p in ps:
-        pos = Vec3(p.element * D21, 0.0, 0.0)
-        f = demo_comb.f0_hz + p.tone * demo_comb.delta_f_hz
+    for e, (tone, a) in enumerate(zip(ps.tones, ps.amplitudes)):
+        pos = Vec3(e * D21, 0.0, 0.0)
+        f = demo_comb.f0_hz + tone * demo_comb.delta_f_hz
         expected = received_phase_exact(src, pos, f, PhaseSign.DELAY)
-        assert cmath.exp(1j * p.angle_rad) == pytest.approx(
+        assert cmath.exp(1j * cmath.phase(a)) == pytest.approx(
             cmath.exp(1j * expected), abs=1e-12)
 
 
 def test_scene_phasors_superpose_linearly(demo_comb, demo_geometry):
     s1 = Source.point(Vec3(-6, 0, 6), amplitude=0.7, phase_rad=0.3)
     s2 = Source.point(Vec3(4, 0, 9), amplitude=1.4, phase_rad=-1.1)
-    tuning = assign_tuning(demo_geometry, demo_comb)
 
     def amps(*sources):
         scene = Scene(sources=sources)
-        return scene_element_phasors(scene, demo_geometry, demo_comb, tuning,
-                                     19e9).amplitude_vector()
+        return scene_element_phasors(scene, demo_geometry, demo_comb,
+                                     19e9).amplitudes
 
     np.testing.assert_allclose(amps(s1, s2), amps(s1) + amps(s2), atol=1e-12)
 
 
 def test_scene_phasors_advance_conjugates(demo_comb, demo_geometry, demo_scene):
-    tuning = assign_tuning(demo_geometry, demo_comb)
-    d = scene_element_phasors(demo_scene, demo_geometry, demo_comb, tuning,
+    d = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
                               19e9, PhaseSign.DELAY)
-    a = scene_element_phasors(demo_scene, demo_geometry, demo_comb, tuning,
+    a = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
                               19e9, PhaseSign.ADVANCE)
-    np.testing.assert_allclose(a.amplitude_vector(),
-                               np.conj(d.amplitude_vector()), atol=1e-12)
+    np.testing.assert_allclose(a.amplitudes, np.conj(d.amplitudes), atol=1e-12)
 
 
 def test_zero_amplitude_source_gives_zero_phasors(demo_comb, demo_geometry):
     scene = Scene(sources=(Source.point(Vec3(-6, 0, 6), amplitude=0.0),))
-    tuning = assign_tuning(demo_geometry, demo_comb)
-    ps = scene_element_phasors(scene, demo_geometry, demo_comb, tuning, 19e9)
-    np.testing.assert_array_equal(ps.amplitude_vector(), 0.0)
+    ps = scene_element_phasors(scene, demo_geometry, demo_comb, 19e9)
+    np.testing.assert_array_equal(ps.amplitudes, 0.0)
 
 
 def test_farfield_model_reduces_point_sources(demo_comb, demo_geometry):
     point = Source.point(Vec3(0.3e6, 0.0, 0.4e6))
     scene = Scene(sources=(point,), model="far-field")
-    tuning = assign_tuning(demo_geometry, demo_comb)
-    ps = scene_element_phasors(scene, demo_geometry, demo_comb, tuning, 19e9)
+    ps = scene_element_phasors(scene, demo_geometry, demo_comb, 19e9)
     plane = Source.farfield(0.6, 0.0)
-    for p in ps:
-        pos = Vec3(p.element * D21, 0.0, 0.0)
-        f = demo_comb.f0_hz + p.tone * demo_comb.delta_f_hz
+    for e, (tone, a) in enumerate(zip(ps.tones, ps.amplitudes)):
+        pos = Vec3(e * D21, 0.0, 0.0)
+        f = demo_comb.f0_hz + tone * demo_comb.delta_f_hz
         expected = received_phase_farfield(plane, pos, f, PhaseSign.DELAY)
-        assert p.angle_rad == pytest.approx(expected, abs=1e-9)
+        assert cmath.phase(a) == pytest.approx(expected, abs=1e-9)
 
 
 def test_comb_amplitude_scales_phasors(demo_geometry, demo_scene):
@@ -200,30 +192,32 @@ def test_comb_amplitude_scales_phasors(demo_geometry, demo_scene):
                      duration_s=5e-6, amplitude=1.0)
     comb3 = CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=21,
                      duration_s=5e-6, amplitude=3.0)
-    tuning = assign_tuning(demo_geometry, comb1)
-    a1 = scene_element_phasors(demo_scene, demo_geometry, comb1, tuning,
-                               19e9).amplitude_vector()
-    a3 = scene_element_phasors(demo_scene, demo_geometry, comb3, tuning,
-                               19e9).amplitude_vector()
+    a1 = scene_element_phasors(demo_scene, demo_geometry, comb1,
+                               19e9).amplitudes
+    a3 = scene_element_phasors(demo_scene, demo_geometry, comb3,
+                               19e9).amplitudes
     np.testing.assert_allclose(a3, 3.0 * a1, atol=1e-12)
 
 
 def test_tuning_mismatch_raises(demo_comb, demo_scene):
-    geom = linear_array(21, D21)
-    tuning = assign_tuning(geom, demo_comb)
     wrong = linear_array(22, D21)
     with pytest.raises(ValueError):
-        scene_element_phasors(demo_scene, wrong, demo_comb, tuning, 19e9)
+        scene_element_phasors(demo_scene, wrong, demo_comb, 19e9)
 
 
 def test_phasor_set_validation():
-    p = ElementPhasor(element=0, tone=1, amplitude=1 + 0j, baseband_hz=1e6)
+    one = ([1 + 0j], [1], [1e6])
     with pytest.raises(ValueError):
-        PhasorSet(phasors=(), f_lo_hz=0.0, delta_f_hz=1e6)
+        PhasorSet([], [], [], f_lo_hz=0.0, delta_f_hz=1e6)
     with pytest.raises(ValueError):
-        PhasorSet(phasors=(p,), f_lo_hz=-1.0, delta_f_hz=1e6)
+        PhasorSet(*one, f_lo_hz=-1.0, delta_f_hz=1e6)
     with pytest.raises(ValueError):
-        PhasorSet(phasors=(p,), f_lo_hz=0.0, delta_f_hz=0.0)
+        PhasorSet(*one, f_lo_hz=0.0, delta_f_hz=0.0)
+    with pytest.raises(ValueError):
+        PhasorSet([1 + 0j, 1j], [1], [1e6], f_lo_hz=0.0, delta_f_hz=1e6)
+    ps = PhasorSet(*one, f_lo_hz=0.0, delta_f_hz=1e6)
+    with pytest.raises(ValueError):
+        ps.amplitudes[0] = 2.0    # read-only
 
 
 def test_noise_is_deterministic_per_seed_and_trial():

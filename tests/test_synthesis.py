@@ -21,7 +21,6 @@ from combbeam.cli import load_config_file, main, scenario_path
 from combbeam.geometry import Scene, Source, Vec3, linear_array
 from combbeam.kspace import (
     SimConfig,
-    assign_tuning,
     beamform_envelope,
     beamform_rf,
     calibrate_axis,
@@ -33,7 +32,6 @@ from combbeam.kspace import (
     whole_periods,
 )
 from combbeam.propagation import (
-    ElementPhasor,
     NoiseSpec,
     PhaseSign,
     PhasorSet,
@@ -49,12 +47,10 @@ DF = 0.2e6
 
 
 def _random_phasors(rng, n: int, descending: bool, f_lo: float) -> PhasorSet:
-    tones = range(n, 0, -1) if descending else range(1, n + 1)
+    tones = np.arange(n, 0, -1) if descending else np.arange(1, n + 1)
     amps = rng.uniform(0.0, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    return PhasorSet(
-        phasors=tuple(ElementPhasor(e, tone, complex(a), F0 + tone * DF - f_lo)
-                      for e, (tone, a) in enumerate(zip(tones, amps))),
-        f_lo_hz=f_lo, delta_f_hz=DF)
+    return PhasorSet(amps, tones, F0 + tones * DF - f_lo, f_lo_hz=f_lo,
+                     delta_f_hz=DF)
 
 
 @given(n=st.integers(2, 64), descending=st.booleans(),
@@ -70,7 +66,7 @@ def test_envelope_matches_dense_sum(n, descending, f_lo, t0_periods, periods,
     t = t0_periods * period + np.arange(grid_points) * (
         periods * period / grid_points)
     dense = complex_field(ps, t)
-    bound = float(np.abs(ps.amplitude_vector()).sum())
+    bound = float(np.abs(ps.amplitudes).sum())
     assert np.abs(periodic_field(ps, t) - dense).max() <= 1e-9 * bound
     env = beamform_envelope(ps, t).envelope
     assert np.abs(env - np.abs(dense)).max() <= 1e-9 * bound
@@ -78,8 +74,9 @@ def test_envelope_matches_dense_sum(n, descending, f_lo, t0_periods, periods,
 
 @given(n=st.integers(2, 40), dx=st.floats(1e-3, 0.05),
        descending=st.booleans(), farfield=st.booleans(),
+       # a subnormal amplitude makes the relative bound underflow to 0
        sources=st.lists(st.tuples(st.floats(-0.95, 0.95), st.floats(0.5, 50.0),
-                                  st.floats(0.0, 2.0),
+                                  st.floats(0.0, 2.0, allow_subnormal=False),
                                   st.floats(-math.pi, math.pi)),
                         min_size=1, max_size=3),
        f0=st.floats(1e9, 20e9), delta_f=st.floats(2e5, 1e6),
@@ -103,10 +100,9 @@ def test_rf_is_the_real_part_of_the_dense_sum(n, dx, descending, farfield,
                     duration_s=periods / delta_f)
     geom = linear_array(n, dx, tuning_order="descending" if descending
                         else "ascending")
-    ps = scene_element_phasors(scene, geom, comb, assign_tuning(geom, comb),
-                               0.0)
+    ps = scene_element_phasors(scene, geom, comb, 0.0)
     t = (t0_periods + np.arange(grid_points) * periods / grid_points) / delta_f
-    bound = float(np.abs(ps.amplitude_vector()).sum())
+    bound = float(np.abs(ps.amplitudes).sum())
     assert np.abs(beamform_rf(ps, t) - complex_field(ps, t).real).max() \
         <= 1e-9 * bound
 
@@ -154,7 +150,7 @@ def test_noisy_envelope_adds_noise_to_the_dense_field(f_lo):
     env = beamform_envelope(ps, t, noise, trial=2).envelope
     w = summed_noise(noise, 21, t.size, 2)
     want = np.abs(complex_field(ps, t) + w)
-    bound = float(np.abs(ps.amplitude_vector()).sum())
+    bound = float(np.abs(ps.amplitudes).sum())
     assert np.abs(env - want).max() <= 1e-9 * bound
 
 
@@ -182,9 +178,8 @@ def test_envelope_rejects_non_uniform_and_tiny_grids():
 
 
 def test_envelope_rejects_tones_off_the_lattice():
-    ps = PhasorSet(phasors=(ElementPhasor(0, 1, 1 + 0j, 1e6),
-                            ElementPhasor(1, 2, 1 + 0j, 1.25e6)),
-                   f_lo_hz=19e9, delta_f_hz=DF)
+    ps = PhasorSet([1 + 0j, 1 + 0j], [1, 2], [1e6, 1.25e6], f_lo_hz=19e9,
+                   delta_f_hz=DF)
     with pytest.raises(ValueError, match="Δf"):
         beamform_envelope(ps, np.arange(64) * (5e-6 / 64))
 
@@ -239,8 +234,7 @@ def test_closed_form_offset_matches_brute_force_peak(n, dx, descending,
     sign = PhaseSign.ADVANCE if advance else PhaseSign.DELAY
     cal = calibrate_axis(geom, comb, f_lo, sign)
     assert cal.t0_s == 0.0
-    ps = scene_element_phasors(probe_scene(0.0), geom, comb,
-                               assign_tuning(geom, comb), f_lo, sign)
+    ps = scene_element_phasors(probe_scene(0.0), geom, comb, f_lo, sign)
     t_pk, mag = brute_force_peak(ps)
     # the boresight envelope is a global maximum at t0 to rounding ...
     at_t0 = float(np.abs(complex_field(ps, np.array([cal.t0_s])))[0])
@@ -260,8 +254,7 @@ def test_point_source_calibration_still_simulates_boresight(demo_comb,
                          reference_range_m=2.0)
     assert 0.0 < cal.t0_s < demo_comb.period_s
     ps = scene_element_phasors(probe_scene(0.0, 2.0), demo_geometry,
-                               demo_comb, assign_tuning(demo_geometry,
-                                                        demo_comb), 19e9)
+                               demo_comb, 19e9)
     t_pk, _ = brute_force_peak(ps)
     d = abs(t_pk - cal.t0_s) % demo_comb.period_s
     assert min(d, demo_comb.period_s - d) < demo_comb.period_s / 4096
