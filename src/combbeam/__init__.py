@@ -47,18 +47,23 @@ from .conventional import (
     scene_snapshot,
     steering_vector,
 )
-from .analysis import (
-    MethodComparison,
-    PeakTimeReport,
-    SweepResult,
-    brute_force_peak,
-    compare_methods,
-    first_sidelobe_db,
-    nearfield_error_sweep,
-    peak_time_report,
-    peak_width_u,
-    snr_gain,
+
+# analysis imports scipy for brute_force_peak, so its names load on first use
+# (PEP 562): the CLI and run_beamform never pay for that import.
+_ANALYSIS = (
+    "MethodComparison", "PeakTimeReport", "SweepResult", "brute_force_peak",
+    "compare_methods", "first_sidelobe_db", "nearfield_error_sweep",
+    "peak_time_report", "peak_width_u", "snr_gain",
 )
+
+
+def __getattr__(name: str):
+    if name in _ANALYSIS:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
@@ -74,8 +79,6 @@ __all__ = [
     "find_peaks", "run_beamform", "time_to_u", "u_to_azimuth",
     "ElementPattern", "PhaseMap", "beamform_conventional",
     "curvature_profile", "phase_map", "scene_snapshot", "steering_vector",
-    "MethodComparison", "PeakTimeReport", "SweepResult", "brute_force_peak",
-    "compare_methods", "first_sidelobe_db", "nearfield_error_sweep",
-    "peak_time_report", "peak_width_u", "snr_gain",
+    *_ANALYSIS,
     "__version__",
 ]

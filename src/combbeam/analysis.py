@@ -1,6 +1,11 @@
 """Measurement and comparison utilities built on top of the two
 beamforming paths: brute-force peak search, beamwidth and sidelobe metrics,
 method cross-checks, range-error sweeps, and Monte-Carlo SNR gain.
+
+This is the one module that imports scipy, for brute_force_peak's
+golden-section polish (the tests' peak oracle). The CLI never imports it:
+the sweep step and peak_width_u live in kspace and are re-exported here,
+and the package root loads these names on first use.
 """
 
 from __future__ import annotations
@@ -18,12 +23,15 @@ from .kspace import (
     Peak,
     SimConfig,
     _local_peaks,
+    _nearest_index,
     _peak_time,
     _quadratic_peak,
+    _sweep_step,
     _thin_peaks,
     calibrate_axis,
     complex_field,
     default_time_grid,
+    peak_width_u,
     periodic_field,
     run_beamform,
     time_to_u,
@@ -80,44 +88,6 @@ def brute_force_peak(phasors: PhasorSet, grid_points: int = 4096,
     if mag < env[i]:
         t_pk, mag = (i * dt) % period, float(env[i])
     return t_pk, mag
-
-
-def _nearest_index(time_s: np.ndarray, t: float) -> int:
-    span = float(time_s[-1] - time_s[0]) + float(time_s[1] - time_s[0])
-    offs = (np.asarray(time_s) - t) % span
-    offs = np.minimum(offs, span - offs)
-    return int(np.argmin(offs))
-
-
-def peak_width_u(out: BeamformOutput, peak: Peak) -> float:
-    """−3 dB full width of one envelope peak, measured in u.
-
-    Walks circularly from the peak to the 1/sqrt(2)·magnitude crossings on
-    both sides (linear interpolation between samples) and converts the time
-    width with du = 2·Δf·dt.
-    """
-    if out.calibration is None:
-        raise ValueError("output has no calibration")
-    env = np.asarray(out.envelope, dtype=float)
-    n = env.size
-    half = peak.magnitude / math.sqrt(2.0)
-    i0 = _nearest_index(out.time_s, peak.time_s)
-    dt = float(out.time_s[1] - out.time_s[0])
-
-    def crossing(direction: int) -> float:
-        steps = 0
-        i = i0
-        while steps < n:
-            j = (i + direction) % n
-            if env[j] < half <= env[i]:
-                frac = (env[i] - half) / (env[i] - env[j])
-                return steps + frac
-            i = j
-            steps += 1
-        raise ValueError("peak has no half-power crossing")
-
-    width_t = (crossing(+1) + crossing(-1)) * dt
-    return 2.0 * out.calibration.delta_f_hz * width_t
 
 
 def first_sidelobe_db(out: BeamformOutput, peak: Peak) -> float:
@@ -208,18 +178,6 @@ def compare_methods(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
         pairs=tuple(pairs),
         max_discrepancy_deg=max_disc,
     )
-
-
-def _sweep_step(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
-                config: SimConfig, true_az_deg: float,
-                point: str) -> tuple[float, float, float]:
-    """Azimuth error (deg), magnitude and peak_width_u of run_beamform's top
-    peak at one sweep point; ValueError naming ``point`` if it finds none."""
-    out = run_beamform(scene, geometry, comb, config)
-    if not out.peaks:
-        raise ValueError(f"sweep point {point}: no peak found")
-    top = out.peaks[0]
-    return top.azimuth_deg - true_az_deg, top.magnitude, peak_width_u(out, top)
 
 
 @dataclass(frozen=True)

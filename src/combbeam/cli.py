@@ -52,10 +52,13 @@ model is scene-wide). Commands:
 
 The envelope repeats every 1/delta_f_hz and is sampled on sim.grid_points
 points over duration_s; a duration that is not a whole number of periods is
-a configuration error. Exit codes: 0 success, 1 configuration errors, 2
-runtime (math/model) errors, 3 I/O errors. CSV files are written atomically
-(temp file + rename) with full-precision repr() floats and no timestamps, so
-reruns are byte-identical.
+a configuration error. Exit codes: 0 success, 1 configuration errors
+(including bad or missing flags, and --seed on a scenario without
+sim.noise), 2 runtime (math/model) errors, 3 I/O errors. The output
+directory is created with the first CSV, so a command that fails before
+writing leaves none. CSV files are written atomically (temp file + rename)
+with full-precision repr() floats and no timestamps, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -66,12 +69,11 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 import numpy as np
 import yaml
 
-from .analysis import _sweep_step
 from .conventional import curvature_profile, phase_map
 from .geometry import (
     ArrayGeometry,
@@ -85,6 +87,7 @@ from .kspace import (
     AxisCalibration,
     SimConfig,
     _peak_time,
+    _sweep_step,
     beamform_rf,
     calibrate_axis,
     default_time_grid,
@@ -421,7 +424,10 @@ def _format_cell(v: Any) -> str:
 
 def write_csv_atomic(path: Path, header: Sequence[str],
                      rows: Iterable[Sequence[Any]]) -> None:
-    """Write a CSV via a temp file + atomic rename; repr() floats."""
+    """Write a CSV via a temp file + atomic rename; repr() floats. Creates
+    the directory, so a command that fails before its first CSV leaves
+    none behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -584,8 +590,17 @@ def cmd_calibrate(config: ScenarioConfig) -> None:
         print(f"probe u={u!r}: estimated_u={u_est!r} residual={u_est - u!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a config error (exit 1): exit 2 is reserved
+    for runtime errors. Subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"config error: {message}\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="combbeam",
         description="Frequency-comb k-space beamforming simulator",
     )
@@ -620,7 +635,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                                              grid_points=args.grid_points))
             except ValueError as e:
                 raise ConfigError(f"--grid-points: {e}") from e
-        if args.seed is not None and config.sim.noise is not None:
+        if args.seed is not None:
+            if config.sim.noise is None:
+                raise ConfigError("--seed: the scenario has no sim.noise "
+                                  "to seed")
             try:
                 noise = replace(config.sim.noise, seed=args.seed)
             except ValueError as e:
@@ -637,7 +655,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "no output directory: set output.directory or pass --out"
             )
         out_dir = Path(out_value)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             cmd_simulate(config, out_dir)
         elif args.command == "phase-map":

@@ -1,4 +1,8 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -244,6 +248,43 @@ sources: [{farfield: [0.5, 0.0]}]
     assert "--param range_m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--param", "bogus", "--values", "1"],
+    ["--param", "num_tones", "--values", "eleven"],
+    ["--param", "range_m", "--values", "2,-1"],
+])
+def test_sweep_config_errors_leave_no_output_directory(tmp_path, argv):
+    # the output directory was once created before these checks ran
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(scenario_path("single_source")),
+                 "--out", str(out), *argv]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--grid-points", "abc"], "--grid-points"),
+    (["--bogus"], "--bogus"),
+    (None, "--config"),
+])
+def test_usage_errors_are_config_errors(capsys, extra, flag):
+    # argparse once exited 2, the code reserved for runtime errors
+    argv = ["simulate", "--out", "unused"]
+    if extra is not None:
+        argv += ["--config", str(scenario_path("single_source")), *extra]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "config error: " in err and flag in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--values" in capsys.readouterr().out
+
+
 def test_sweep_reruns_are_byte_identical_in_input_order(tmp_path):
     outputs = []
     for run in ("a", "b"):
@@ -293,6 +334,15 @@ def test_seed_override_changes_noise(tmp_path):
 
     assert run(1, "a") == run(1, "b")
     assert run(1, "c") != run(2, "d")
+
+
+def test_seed_without_noise_is_a_config_error(tmp_path, capsys):
+    # --seed on a noiseless scenario was once ignored with exit 0
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(scenario_path("single_source")),
+                 "--out", str(out), "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed")
+    assert not out.exists()
 
 
 def test_noise_trials_key_is_rejected(tmp_path, capsys):
@@ -446,3 +496,31 @@ def test_calibrate_probes_match_the_find_peaks_read(tmp_path, capsys, name,
         want.append(f"probe u={u!r}: estimated_u={est!r} "
                     f"residual={est - u!r}")
     assert lines == want
+
+
+_IMPORT_GUARD = """
+import json, sys
+from combbeam.cli import main, scenario_path
+cfg, out = str(scenario_path("single_source")), sys.argv[1]
+assert main(["simulate", "--config", cfg, "--out", out]) == 0
+assert main(["sweep", "--config", cfg, "--out", out,
+             "--param", "range_m", "--values", "2,8"]) == 0
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m == "combbeam.analysis")
+import combbeam
+from combbeam import brute_force_peak
+print(json.dumps({"loaded": loaded, "oracle":
+                  brute_force_peak is combbeam.analysis.brute_force_peak}))
+"""
+
+
+def test_cli_imports_neither_scipy_nor_analysis(tmp_path):
+    # importing scipy.optimize was once ~0.5 s of every CLI call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "oracle": True}
+    assert (tmp_path / "sweep.csv").is_file()
