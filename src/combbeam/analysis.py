@@ -262,8 +262,7 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     ratios = np.empty(trials)
     for k in range(trials):
         w = summed_noise(spec, num_elements, n, trial=k)
-        noisy = z_clean + w
-        p_peak = float(np.abs(noisy[i_peak]) ** 2)
+        p_peak = float(np.abs(z_clean[i_peak] + w[i_peak]) ** 2)
         p_floor = float(np.median(np.abs(w[keep]) ** 2)) / math.log(2.0)
         ratios[k] = (p_peak - p_floor) / p_floor
     # trial ratios may dip below zero; only the averaged ratio must be positive

@@ -127,17 +127,17 @@ def whole_periods(span_s: float, delta_f_hz: float) -> int:
     return whole
 
 
-def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
-    """Σ_e a_e·exp(j2πν_e t) on a uniform grid of whole envelope periods,
-    by one inverse FFT.
+def _baseband_field(phasors: PhasorSet, time_s):
+    """(t, Σ_e a_e·exp(j2π(ν_e − ν_min)t), ν_min) on a uniform grid of whole
+    envelope periods, by one inverse FFT: periodic_field without its
+    unit-modulus carrier exp(j2π·ν_min·t).
 
     The tones sit on the Δf lattice, ν_e = ν_min + m_e·Δf. On the grid
     t_k = t_0 + k·dt (G points spanning P = Δf·G·dt whole periods)
     exp(j2π·m_e·Δf·k·dt) = exp(j2π·((m_e·P) mod G)·k/G), so each
-    a_e·exp(j2π(ν_e − ν_min)t_0) lands in one FFT bin (bins may collide) and
-    the common factor exp(j2π·ν_min·t_k) restores the absolute phase. Agrees
-    with complex_field to rounding. Raises ValueError for a grid that is
-    not uniform, does not span whole periods, or tones off the Δf lattice.
+    a_e·exp(j2π(ν_e − ν_min)t_0) lands in one FFT bin (bins may collide).
+    Raises ValueError for a grid that is not uniform, does not span whole
+    periods, or tones off the Δf lattice.
     """
     t = np.asarray(time_s, dtype=float)
     g = t.size
@@ -158,7 +158,29 @@ def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     bins = np.zeros(g, dtype=complex)
     np.add.at(bins, (m.astype(np.int64) * periods) % g,
               amps * _turns((nu - nu_min) * t[0]))
-    return g * np.fft.ifft(bins) * _turns(nu_min * t)
+    return t, g * np.fft.ifft(bins), nu_min
+
+
+def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
+    """Σ_e a_e·exp(j2πν_e t) on a uniform grid of whole envelope periods,
+    by one inverse FFT.
+
+    The FFT gives the sum relative to the lowest tone (see _baseband_field)
+    and the common factor exp(j2π·ν_min·t_k) restores the absolute phase.
+    Agrees with complex_field to rounding. This complex value serves the
+    RF trace and the noisy envelope; noiseless envelope and peak reads
+    take _periodic_envelope, its modulus without the carrier. Raises
+    ValueError for a grid that is not uniform, does not span whole
+    periods, or tones off the Δf lattice.
+    """
+    t, field, nu_min = _baseband_field(phasors, time_s)
+    return field * _turns(nu_min * t)
+
+
+def _periodic_envelope(phasors: PhasorSet, time_s) -> np.ndarray:
+    """|periodic_field|, read without its unit-modulus carrier: equal to it
+    to rounding, and independent of the mixer LO."""
+    return np.abs(_baseband_field(phasors, time_s)[1])
 
 
 @dataclass
@@ -193,14 +215,18 @@ def beamform_envelope(phasors: PhasorSet, time_s,
     (see periodic_field); the envelope repeats with that period, so the
     samples wrap around. With ``noise``, w is the element-summed noise
     drawn by summed_noise for (noise.seed, trial): one CN(0, E·sigma²)
-    sample per time sample. Without noise the result is independent of the
-    common mixer LO: only tone differences enter |·|.
+    sample per time sample, added to the complex periodic_field. Without
+    noise the envelope is _periodic_envelope, the modulus read without the
+    unit-modulus mixer carrier, so it is independent of the common mixer
+    LO: only tone differences enter |·|.
     """
     t = np.asarray(time_s, dtype=float)
-    z = periodic_field(phasors, t)
     if noise is not None and noise.sigma > 0:
-        z = z + summed_noise(noise, len(phasors), t.size, trial)
-    return BeamformOutput(time_s=t, envelope=np.abs(z), phasors=phasors)
+        env = np.abs(periodic_field(phasors, t)
+                     + summed_noise(noise, len(phasors), t.size, trial))
+    else:
+        env = _periodic_envelope(phasors, t)
+    return BeamformOutput(time_s=t, envelope=env, phasors=phasors)
 
 
 def beamform_rf(phasors: PhasorSet, time_s) -> np.ndarray:
@@ -257,8 +283,9 @@ def _refine_peak(env: np.ndarray, time_s: np.ndarray, i):
 
 
 def _peak_time(phasors: PhasorSet, time_s: np.ndarray) -> float:
-    """Refined time of the largest sample of the noiseless FFT envelope."""
-    env = np.abs(periodic_field(phasors, time_s))
+    """Refined time of the largest sample of the noiseless FFT envelope,
+    read off its modulus (_periodic_envelope), never the complex field."""
+    env = _periodic_envelope(phasors, time_s)
     return float(_refine_peak(env, time_s, int(np.argmax(env)))[0])
 
 

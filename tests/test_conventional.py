@@ -70,6 +70,20 @@ def test_beamform_matches_double_sum_oracle():
             assert out[a, b] == pytest.approx(abs(acc), rel=1e-10)
 
 
+def test_beamform_matches_exp_built_steering_at_scale():
+    # the running-product steering weights drift by ~M·eps per entry
+    rng = np.random.default_rng(5)
+    geom = linear_array(64, 0.0079)
+    lam = 0.0157744
+    snap = rng.standard_normal((64, 1)) + 1j * rng.standard_normal((64, 1))
+    u_grid = np.linspace(-1.0, 1.0, 8192)
+    out = beamform_conventional(snap, geom, lam, u_grid, np.array([0.0]))
+    k = 2 * math.pi / lam
+    steer = np.exp(1j * k * 0.0079 * np.arange(64)[None, :] * u_grid[:, None])
+    want = np.abs(steer @ snap)
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(snap).sum()
+
+
 @pytest.mark.parametrize("geom, u_points, v_points", [
     (planar_array(5, 3, 0.0041, 0.0036), 7, 4),
     (planar_array(3, 6, 0.0041, 0.0036), 4, 9),

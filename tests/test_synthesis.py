@@ -1,6 +1,7 @@
 """The FFT envelope and RF synthesizer against the dense element × sample
-sum, a guard that the dense sum stays off runtime paths, whole-period grid
-checks, and the closed-form plane-wave calibration."""
+sum, guards that the dense sum stays off runtime paths and the complex
+field off noiseless ones, whole-period grid checks, and the closed-form
+plane-wave calibration."""
 
 import math
 from dataclasses import replace
@@ -140,6 +141,54 @@ def test_dense_sum_stays_off_runtime_paths(monkeypatch, tmp_path):
     # the guard is live: the oracle itself still reaches the patched sum
     with pytest.raises(AssertionError, match="runtime path"):
         brute_force_peak(run_beamform(scene, geom, comb, sim).phasors)
+
+
+def test_noiseless_paths_stay_off_the_complex_synthesizer(monkeypatch,
+                                                          tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the complex periodic_field ran")
+
+    monkeypatch.setattr(kspace, "periodic_field", refuse)
+    monkeypatch.setattr(analysis, "periodic_field", refuse)
+    cfg = load_config_file(scenario_path("three_sources"))
+    scene, geom, comb, sim = cfg.scene, cfg.geometry, cfg.comb, cfg.sim
+    assert sim.noise is None and sim.calibration_range_m is not None
+    assert len(run_beamform(scene, geom, comb, sim).peaks) == 3
+    f_lo = sim.lo_for(comb)
+    calibrate_axis(geom, comb, f_lo, reference_range_m=None)
+    calibrate_axis(geom, comb, f_lo, reference_range_m=17.0)
+    peak_time_report(scene, geom, comb, sim)
+    assert main(["simulate", "--config", str(scenario_path("three_sources")),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "envelope.csv").exists()
+    assert main(["calibrate", "--config",
+                 str(scenario_path("three_sources"))]) == 0
+    # the guard is live: the paths that need the complex value still reach it
+    noisy = replace(sim, noise=NoiseSpec(sigma=0.5, seed=3))
+    with pytest.raises(AssertionError, match="complex periodic_field"):
+        run_beamform(scene, geom, comb, noisy)
+    with pytest.raises(AssertionError, match="complex periodic_field"):
+        beamform_rf(scene_element_phasors(scene, geom, comb, 0.0),
+                    default_time_grid(comb, sim.grid_points))
+    with pytest.raises(AssertionError, match="complex periodic_field"):
+        snr_gain(scene, geom, comb, 0.7, trials=1, config=sim)
+
+
+@pytest.mark.parametrize("f_lo", [0.0, 19.0e9, F0])
+@pytest.mark.parametrize("t0_periods, periods", [
+    (0.0, 1), (0.37, 1), (-0.61, 3), (2.25, 3)])
+def test_envelope_modulus_matches_both_references(f_lo, t0_periods, periods):
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for n, grid_points in ((21, 1024), (64, 300), (5, 7)):
+        ps = _random_phasors(rng, n, bool(rng.integers(2)), f_lo)
+        t = (t0_periods + np.arange(grid_points) * periods / grid_points) / DF
+        env = kspace._periodic_envelope(ps, t)
+        bound = float(np.abs(ps.amplitudes).sum())
+        assert np.abs(env - np.abs(periodic_field(ps, t))).max() \
+            <= 8 * eps * bound
+        assert np.abs(env - np.abs(complex_field(ps, t))).max() \
+            <= 1e-9 * bound
 
 
 @pytest.mark.parametrize("f_lo", [0.0, 19.0e9, F0])
