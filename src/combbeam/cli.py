@@ -441,11 +441,12 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     map_source = _phase_map_source(config) if config.emit_phase_map else None
     _check_tunable(config.comb, config.geometry, config.sim)
     out = run_beamform(config.scene, config.geometry, config.comb, config.sim)
-    assert out.u is not None and out.azimuth_deg is not None
+    u, azimuth_deg = out.u, out.azimuth_deg
+    assert u is not None and azimuth_deg is not None
     write_csv_atomic(
         out_dir / "envelope.csv",
         ["time_s", "envelope", "u", "azimuth_deg"],
-        zip(out.time_s, out.envelope, out.u, out.azimuth_deg),
+        zip(out.time_s, out.envelope, u, azimuth_deg),
     )
     assert out.peaks is not None
     write_csv_atomic(

@@ -127,15 +127,32 @@ def whole_periods(span_s: float, delta_f_hz: float) -> int:
     return whole
 
 
+# Shortest row of the split inverse FFT in _baseband_field. A G-point grid
+# runs as R rows of G/R points, R the largest power of two that leaves rows
+# of at least this many. Transformed in place as rows of this length, a
+# 16384-point grid needs no fresh memory pages per call, where one
+# out-of-place G-point transform faults in its output and scratch each time.
+_ROW_POINTS = 4096
+
+
 def _baseband_field(phasors: PhasorSet, time_s):
-    """(t, Σ_e a_e·exp(j2π(ν_e − ν_min)t), ν_min) on a uniform grid of whole
-    envelope periods, by one inverse FFT: periodic_field without its
-    unit-modulus carrier exp(j2π·ν_min·t).
+    """(t, field, ν_min) on a uniform grid of whole envelope periods:
+    field is an (L, R) array whose ravel is Σ_e a_e·exp(j2π(ν_e − ν_min)t),
+    periodic_field without its unit-modulus carrier exp(j2π·ν_min·t).
 
     The tones sit on the Δf lattice, ν_e = ν_min + m_e·Δf. On the grid
     t_k = t_0 + k·dt (G points spanning P = Δf·G·dt whole periods)
-    exp(j2π·m_e·Δf·k·dt) = exp(j2π·((m_e·P) mod G)·k/G), so each
-    a_e·exp(j2π(ν_e − ν_min)t_0) lands in one FFT bin (bins may collide).
+    exp(j2π·m_e·Δf·k·dt) = exp(j2π·b_e·k/G) with FFT bin b_e = (m_e·P) mod G,
+    so each c_e = a_e·exp(j2π(ν_e − ν_min)t_0) lands in one bin (bins may
+    collide) of a G-point inverse FFT. That transform runs as R rows of
+    L = G/R points (Bailey's four-step split): sample k = r + R·q is
+    Σ_e c_e·exp(j2π·b_e·r/G)·exp(j2π·(b_e mod L)·q/L), so row r holds
+    each c_e times its exact twiddle exp(j2π·((b_e·r) mod G)/G) in column
+    b_e mod L, and one in-place L-point inverse FFT per row gives samples
+    r, r + R, r + 2R, ... R is the largest power of two that leaves
+    L >= _ROW_POINTS, so R = 1 (one G-point transform, every twiddle
+    exactly 1) for G < 8192, for odd G and so on the default 4096-point
+    grid.
     Raises ValueError for a grid that is not uniform, does not span whole
     periods, or tones off the Δf lattice.
     """
@@ -146,7 +163,11 @@ def _baseband_field(phasors: PhasorSet, time_s):
     dt = (float(t[-1]) - float(t[0])) / (g - 1)
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("time grid must increase")
-    if np.abs(t - (t[0] + np.arange(g) * dt)).max() > 1e-9 * g * dt:
+    off = np.arange(g, dtype=float)
+    off *= dt
+    off += t[0]
+    np.subtract(t, off, out=off)
+    if np.abs(off, out=off).max() > 1e-9 * g * dt:
         raise ValueError("time grid is not uniform")
     periods = whole_periods(g * dt, phasors.delta_f_hz)
     amps, nu = phasors.amplitudes, phasors.baseband_hz
@@ -155,32 +176,43 @@ def _baseband_field(phasors: PhasorSet, time_s):
     m = np.rint(steps)
     if np.abs(steps - m).max() > 1e-6:
         raise ValueError("baseband tones are not spaced by multiples of Δf")
-    bins = np.zeros(g, dtype=complex)
-    np.add.at(bins, (m.astype(np.int64) * periods) % g,
-              amps * _turns((nu - nu_min) * t[0]))
-    return t, g * np.fft.ifft(bins), nu_min
+    rows = 1
+    while g % (2 * rows) == 0 and g // (2 * rows) >= _ROW_POINTS:
+        rows *= 2
+    cols = g // rows
+    b = (m.astype(np.int64) * periods) % g
+    r = np.arange(rows)[:, None]
+    a = np.zeros((rows, cols), dtype=complex)
+    np.add.at(a, (r, b % cols),
+              amps * _turns((nu - nu_min) * t[0]) * _turns(b * r % g / g))
+    np.fft.ifft(a, axis=1, norm="forward", out=a)
+    return t, a.T, nu_min
 
 
 def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     """Σ_e a_e·exp(j2πν_e t) on a uniform grid of whole envelope periods,
-    by one inverse FFT.
+    by one inverse FFT split into rows (see _baseband_field; one row, the
+    plain G-point transform, below 8192 points and so at the default grid).
 
-    The FFT gives the sum relative to the lowest tone (see _baseband_field)
-    and the common factor exp(j2π·ν_min·t_k) restores the absolute phase.
-    Agrees with complex_field to rounding. This complex value serves the
-    RF trace and the noisy envelope; noiseless envelope and peak reads
-    take _periodic_envelope, its modulus without the carrier. Raises
-    ValueError for a grid that is not uniform, does not span whole
-    periods, or tones off the Δf lattice.
+    The FFT gives the sum relative to the lowest tone, and the common
+    factor exp(j2π·ν_min·t_k), multiplied into the raveled rows in place,
+    restores the absolute phase. Agrees with complex_field to rounding.
+    This complex value serves the RF trace and the noisy envelope;
+    noiseless envelope and peak reads take _periodic_envelope, its modulus
+    without the carrier. Raises ValueError for a grid that is not uniform,
+    does not span whole periods, or tones off the Δf lattice.
     """
     t, field, nu_min = _baseband_field(phasors, time_s)
-    return field * _turns(nu_min * t)
+    field = field.ravel()
+    field *= _turns(nu_min * t)
+    return field
 
 
 def _periodic_envelope(phasors: PhasorSet, time_s) -> np.ndarray:
     """|periodic_field|, read without its unit-modulus carrier: equal to it
     to rounding, and independent of the mixer LO."""
-    return np.abs(_baseband_field(phasors, time_s)[1])
+    field = _baseband_field(phasors, time_s)[1]
+    return np.abs(field, out=np.empty(field.shape)).ravel()
 
 
 @dataclass
@@ -195,15 +227,30 @@ class Peak:
 
 @dataclass
 class BeamformOutput:
-    """Sampled envelope plus optional derived axes and peaks."""
+    """Sampled envelope plus optional calibration, derived axes and peaks."""
 
     time_s: np.ndarray
     envelope: np.ndarray
-    u: np.ndarray | None = None
-    azimuth_deg: np.ndarray | None = None
     calibration: AxisCalibration | None = None
     peaks: list[Peak] | None = None
     phasors: PhasorSet | None = None
+
+    @property
+    def u(self) -> np.ndarray | None:
+        """Direction cosine of each time sample, computed from the
+        calibration when read; None without one."""
+        if self.calibration is None:
+            return None
+        return time_to_u(self.calibration, self.time_s)
+
+    @property
+    def azimuth_deg(self) -> np.ndarray | None:
+        """Azimuth (degrees) of each time sample, computed from the
+        calibration when read; None without one."""
+        u = self.u
+        if u is None:
+            return None
+        return np.degrees(np.arcsin(np.clip(u, -1.0, 1.0)))
 
 
 def beamform_envelope(phasors: PhasorSet, time_s,
@@ -243,11 +290,8 @@ def beamform_rf(phasors: PhasorSet, time_s) -> np.ndarray:
 
 def apply_calibration(out: BeamformOutput,
                       calibration: AxisCalibration) -> BeamformOutput:
-    """Attach u and azimuth axes to an envelope result."""
-    u = time_to_u(calibration, out.time_s)
-    az = np.degrees(np.arcsin(np.clip(u, -1.0, 1.0)))
-    out.u = u
-    out.azimuth_deg = az
+    """Attach a calibration to an envelope result; its u and azimuth_deg
+    axes are computed from it when read."""
     out.calibration = calibration
     return out
 
@@ -256,10 +300,13 @@ def _local_peaks(y: np.ndarray, circular: bool) -> np.ndarray:
     """Indices of the local maxima of y: above the left neighbour and not
     below the right one, so a plateau yields its left sample. A circular
     scan wraps around; a linear one ignores both end samples."""
-    if circular:
-        return np.flatnonzero((y > np.roll(y, 1)) & (y >= np.roll(y, -1)))
     mid = y[1:-1]
-    return np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])) + 1
+    i = np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])) + 1
+    if not circular:
+        return i
+    first = [0] if y[0] > y[-1] and y[0] >= y[1] else []
+    last = [y.size - 1] if y[-1] > y[-2] and y[-1] >= y[0] else []
+    return np.concatenate((first, i, last)).astype(i.dtype)
 
 
 def _quadratic_peak(ym1, y0, yp1):

@@ -180,15 +180,22 @@ def test_noiseless_paths_stay_off_the_complex_synthesizer(monkeypatch,
 def test_envelope_modulus_matches_both_references(f_lo, t0_periods, periods):
     rng = np.random.default_rng(17)
     eps = np.finfo(float).eps
-    for n, grid_points in ((21, 1024), (64, 300), (5, 7)):
+    # the last four reach the row split of the inverse FFT: 4 rows of 4096
+    # points, 2 rows of 6144, a single row for an odd 8193, and 2 rows of
+    # 4096 into which 1500 tones over 3 periods fold and collide
+    for n, grid_points, p in ((21, 1024, periods), (64, 300, periods),
+                              (5, 7, periods), (300, 16384, 1),
+                              (64, 12288, 2), (40, 8193, 1), (1500, 8192, 3)):
         ps = _random_phasors(rng, n, bool(rng.integers(2)), f_lo)
-        t = (t0_periods + np.arange(grid_points) * periods / grid_points) / DF
+        t = (t0_periods + np.arange(grid_points) * p / grid_points) / DF
         env = kspace._periodic_envelope(ps, t)
         bound = float(np.abs(ps.amplitudes).sum())
         assert np.abs(env - np.abs(periodic_field(ps, t))).max() \
             <= 8 * eps * bound
-        assert np.abs(env - np.abs(complex_field(ps, t))).max() \
-            <= 1e-9 * bound
+        # the dense sum in chunks keeps its samples × tones array small
+        dense = np.concatenate([complex_field(ps, t[k:k + 1024])
+                                for k in range(0, t.size, 1024)])
+        assert np.abs(env - np.abs(dense)).max() <= 1e-9 * bound
 
 
 @pytest.mark.parametrize("f_lo", [0.0, 19.0e9, F0])
