@@ -10,12 +10,11 @@ from .geometry import (
     Source,
     Vec3,
     azimuth_elevation_to_uv,
-    element_positions,
     linear_array,
     planar_array,
     source_from_az_range,
 )
-from .waveform import SPEED_OF_LIGHT, CombSpec, tone_frequency, wavelength
+from .waveform import SPEED_OF_LIGHT, CombSpec, wavelength
 from .propagation import (
     NoiseSpec,
     PhaseSign,
@@ -39,7 +38,6 @@ from .kspace import (
     u_to_azimuth,
 )
 from .conventional import (
-    ElementPattern,
     PhaseMap,
     beamform_conventional,
     curvature_profile,
@@ -69,16 +67,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayGeometry", "Scene", "Source", "Vec3", "azimuth_elevation_to_uv",
-    "element_positions", "linear_array", "planar_array",
-    "source_from_az_range",
-    "SPEED_OF_LIGHT", "CombSpec", "tone_frequency", "wavelength",
+    "linear_array", "planar_array", "source_from_az_range",
+    "SPEED_OF_LIGHT", "CombSpec", "wavelength",
     "NoiseSpec", "PhaseSign", "PhasorSet", "received_phase_exact",
     "received_phase_farfield", "scene_element_phasors",
     "AxisCalibration", "BeamformOutput", "Peak", "SimConfig",
     "beamform_envelope", "beamform_rf", "calibrate_axis", "estimate_azimuths",
     "find_peaks", "run_beamform", "time_to_u", "u_to_azimuth",
-    "ElementPattern", "PhaseMap", "beamform_conventional",
-    "curvature_profile", "phase_map", "scene_snapshot", "steering_vector",
+    "PhaseMap", "beamform_conventional", "curvature_profile", "phase_map",
+    "scene_snapshot", "steering_vector",
     *_ANALYSIS,
     "__version__",
 ]

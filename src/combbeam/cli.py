@@ -7,7 +7,7 @@ Scenario schema (all frequencies Hz, lengths m, times s, angles deg)::
       delta_f_hz: 200000.0
       num_tones: 21
       duration_s: 0.000005      # a whole multiple of 1/delta_f_hz
-      amplitude: 1.0            # optional, default 1.0
+      amplitude: 1.0            # optional, > 0, default 1.0
     array:
       kind: linear              # linear | planar
       m: 21
@@ -104,7 +104,6 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "parse_config",
-    "serialize_config",
     "load_config_file",
     "scenario_path",
     "main",
@@ -128,61 +127,6 @@ class ScenarioConfig:
     output_directory: str | None
     emit_rf: bool
     emit_phase_map: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        """Schema-shaped dict with defaults expanded (round-trips exactly)."""
-        comb = {
-            "f0_hz": self.comb.f0_hz,
-            "delta_f_hz": self.comb.delta_f_hz,
-            "num_tones": self.comb.num_tones,
-            "duration_s": self.comb.duration_s,
-            "amplitude": self.comb.amplitude,
-        }
-        array: dict[str, Any] = {
-            "kind": self.geometry.kind,
-            "m": self.geometry.m,
-            "dx_m": self.geometry.dx_m,
-            "tuning_order": self.geometry.tuning_order,
-        }
-        if self.geometry.kind == "planar":
-            array["n"] = self.geometry.n
-            array["dy_m"] = self.geometry.dy_m
-        sources = []
-        for s in self.scene.sources:
-            entry: dict[str, Any] = {
-                "amplitude": s.amplitude,
-                "phase_rad": s.phase_rad,
-            }
-            if s.is_farfield:
-                entry["farfield"] = [s.direction[0], s.direction[1]]
-            else:
-                assert s.position is not None
-                entry["position"] = [s.position.x, s.position.y, s.position.z]
-            sources.append(entry)
-        sim: dict[str, Any] = {
-            "grid_points": self.sim.grid_points,
-            "phase_sign": self.sim.phase_sign.value,
-            "threshold_fraction": self.sim.threshold_fraction,
-        }
-        if self.sim.lo_hz is not None:
-            sim["lo_hz"] = self.sim.lo_hz
-        if self.sim.calibration_range_m is not None:
-            sim["calibration_range_m"] = self.sim.calibration_range_m
-        if self.sim.min_separation_u is not None:
-            sim["min_separation_u"] = self.sim.min_separation_u
-        if self.sim.noise is not None:
-            sim["noise"] = {
-                "sigma": self.sim.noise.sigma,
-                "seed": self.sim.noise.seed,
-            }
-        output: dict[str, Any] = {
-            "emit_rf": self.emit_rf,
-            "emit_phase_map": self.emit_phase_map,
-        }
-        if self.output_directory is not None:
-            output["directory"] = self.output_directory
-        return {"comb": comb, "array": array, "sources": sources,
-                "sim": sim, "output": output}
 
 
 def _mapping(value: Any, path: str) -> dict:
@@ -393,11 +337,6 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def serialize_config(config: ScenarioConfig) -> str:
-    """YAML text that parses back to an equal ScenarioConfig."""
-    return yaml.safe_dump(config.to_dict(), sort_keys=True)
-
-
 def load_config_file(path: str | Path) -> ScenarioConfig:
     return parse_config(Path(path).read_text())
 
@@ -424,17 +363,22 @@ def _format_cell(v: Any) -> str:
 
 def write_csv_atomic(path: Path, header: Sequence[str],
                      rows: Iterable[Sequence[Any]]) -> None:
-    """Write a CSV via a temp file + atomic rename; repr() floats. Creates
+    """Write a CSV via a temp file + atomic rename; repr() floats. A failed
+    write removes the temp file and leaves the target untouched. Creates
     the directory, so a command that fails before its first CSV leaves
     none behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_format_cell(v) for v in row])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:

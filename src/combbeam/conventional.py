@@ -5,13 +5,14 @@ narrowband weights and scan direction space. Steering uses
 a_mn(u, v) = exp(−j·(2π/λ)·(m·dx·u + n·dy·v)); scene snapshots carry the
 conjugate (advance) propagation sign so that for a far-field source at
 (u0, v0) the matched output a(u0,v0)^H··· reaches the full M·N coherent gain.
+Elements are isotropic: the scan output is the bare coherent sum, with no
+per-element amplitude pattern.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -20,8 +21,6 @@ from .geometry import (ArrayGeometry, Scene, Source, element_positions_array,
 from .propagation import PhaseSign, element_field, received_phase
 
 __all__ = [
-    "ElementPattern",
-    "ISOTROPIC",
     "SteeringVector",
     "steering_vector",
     "scene_snapshot",
@@ -33,35 +32,6 @@ __all__ = [
     "fit_phase_plane",
     "curvature_profile",
 ]
-
-
-@dataclass(frozen=True)
-class ElementPattern:
-    """Per-element amplitude taper over direction space.
-
-    ``isotropic`` is unity everywhere; ``cosine`` applies w(u,v)^exponent
-    where w = sqrt(1 − u² − v²) (zero outside the visible region).
-    """
-
-    kind: Literal["isotropic", "cosine"] = "isotropic"
-    exponent: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("isotropic", "cosine"):
-            raise ValueError(f"unknown pattern kind {self.kind!r}")
-        if not (math.isfinite(self.exponent) and self.exponent >= 0):
-            raise ValueError(f"exponent must be >= 0, got {self.exponent!r}")
-
-    def gain(self, u, v) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind == "isotropic":
-            return np.ones(np.broadcast(u, v).shape)
-        w2 = np.clip(1.0 - u * u - v * v, 0.0, None)
-        return np.sqrt(w2) ** self.exponent
-
-
-ISOTROPIC = ElementPattern()
 
 
 @dataclass(frozen=True)
@@ -116,12 +86,11 @@ def _steering_powers(phase_step, count: int) -> np.ndarray:
 
 
 def beamform_conventional(snapshot: np.ndarray, geometry: ArrayGeometry,
-                          wavelength_m: float, u_grid, v_grid,
-                          pattern: ElementPattern = ISOTROPIC) -> np.ndarray:
-    """|a(u,v)^H s| over a (u, v) scan grid, shape (len(u), len(v)).
+                          wavelength_m: float, u_grid, v_grid) -> np.ndarray:
+    """|a(u,v)^H s| over a (u, v) scan grid, shape (len(u), len(v)), for
+    isotropic elements.
 
     snapshot must be (M, N); grid values must lie in [−1, 1] per axis. The
-    element pattern scales the magnitude after the coherent sum. The
     steering weights factorize over the two axes and are built as running
     powers of one phase step per scan point (_steering_powers); they agree
     with steering_vector, the exp-built oracle, to ~M·eps per entry.
@@ -145,9 +114,7 @@ def beamform_conventional(snapshot: np.ndarray, geometry: ArrayGeometry,
     # conj(a) factorizes over the two axes: exp(+jk·m·dx·u)·exp(+jk·n·dy·v)
     em = _steering_powers(k * geometry.dx_m * u_grid, geometry.m)   # (M, U)
     en = _steering_powers(k * geometry.dy_m * v_grid, geometry.n)   # (N, V)
-    b = em.T @ snapshot @ en
-    gain = pattern.gain(u_grid[:, None], v_grid[None, :])
-    return np.abs(b) * gain
+    return np.abs(em.T @ snapshot @ en)
 
 
 @dataclass(frozen=True)

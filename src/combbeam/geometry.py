@@ -22,9 +22,7 @@ __all__ = [
     "ArrayGeometry",
     "linear_array",
     "planar_array",
-    "element_positions",
     "element_positions_array",
-    "array_center",
     "distance",
     "azimuth_elevation_to_uv",
     "uv_to_direction",
@@ -47,9 +45,6 @@ class Vec3:
             val = getattr(self, name)
             if not math.isfinite(val):
                 raise ValueError(f"Vec3.{name} must be finite, got {val!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 ORIGIN = Vec3(0.0, 0.0, 0.0)
@@ -212,20 +207,6 @@ def element_positions_array(geometry: ArrayGeometry) -> np.ndarray:
     out[:, 1] = geometry.origin.y + nn.ravel() * geometry.dy_m
     out[:, 2] = geometry.origin.z
     return out
-
-
-def element_positions(geometry: ArrayGeometry) -> list[Vec3]:
-    """Element positions as Vec3, same ordering as the array form."""
-    return [Vec3(*row) for row in element_positions_array(geometry).tolist()]
-
-
-def array_center(geometry: ArrayGeometry) -> Vec3:
-    """Geometric center of the element grid."""
-    return Vec3(
-        geometry.origin.x + 0.5 * (geometry.m - 1) * geometry.dx_m,
-        geometry.origin.y + 0.5 * (geometry.n - 1) * geometry.dy_m,
-        geometry.origin.z,
-    )
 
 
 def azimuth_elevation_to_uv(az_deg: float, el_deg: float) -> tuple[float, float]:

@@ -35,7 +35,6 @@ __all__ = [
     "periodic_field",
     "beamform_envelope",
     "beamform_rf",
-    "apply_calibration",
     "probe_scene",
     "calibrate_axis",
     "Peak",
@@ -288,14 +287,6 @@ def beamform_rf(phasors: PhasorSet, time_s) -> np.ndarray:
     return periodic_field(phasors, time_s).real
 
 
-def apply_calibration(out: BeamformOutput,
-                      calibration: AxisCalibration) -> BeamformOutput:
-    """Attach a calibration to an envelope result; its u and azimuth_deg
-    axes are computed from it when read."""
-    out.calibration = calibration
-    return out
-
-
 def _local_peaks(y: np.ndarray, circular: bool) -> np.ndarray:
     """Indices of the local maxima of y: above the left neighbour and not
     below the right one, so a plateau yields its left sample. A circular
@@ -374,7 +365,7 @@ def find_peaks(out: BeamformOutput, threshold_fraction: float = 0.5,
     if min_separation_u < 0:
         raise ValueError("min_separation_u must be >= 0")
     if out.calibration is None:
-        raise ValueError("output has no calibration; run apply_calibration first")
+        raise ValueError("output has no calibration")
     env = np.asarray(out.envelope, dtype=float)
     if env.size < 3:
         raise ValueError("need at least 3 envelope samples to find peaks")
@@ -502,7 +493,7 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                                  config.calibration_range_m)
     out = beamform_envelope(phasors, default_time_grid(comb, config.grid_points),
                             config.noise)
-    out = apply_calibration(out, calibration)
+    out.calibration = calibration
     out.peaks = find_peaks(out, config.threshold_fraction,
                            config.min_separation_for(comb))
     return out

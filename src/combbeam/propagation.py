@@ -242,7 +242,7 @@ def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
     tones = np.arange(1, comb.num_tones + 1)
     if geometry.tuning_order == "descending":
         tones = tones[::-1]
-    freqs = comb.f0_hz + tones * comb.delta_f_hz
+    freqs = comb.tone_frequencies[tones - 1]
     field = element_field(scene, element_positions_array(geometry), freqs, sign)
     return PhasorSet(comb.amplitude * field, tones, freqs - f_lo_hz, f_lo_hz,
                      comb.delta_f_hz)

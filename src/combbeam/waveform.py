@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "SPEED_OF_LIGHT",
     "CombSpec",
-    "tone_frequency",
     "wavelength",
     "comb_value",
     "comb_spectrum_lines",
@@ -24,7 +23,7 @@ class CombSpec:
     """Equally spaced frequency comb.
 
     Tone n (1-based, n = 1..num_tones) sits at f0_hz + n·delta_f_hz, all tones
-    share the same linear ``amplitude``. ``duration_s`` is the observation
+    share the same linear ``amplitude`` (> 0). ``duration_s`` is the observation
     window; the comb envelope repeats with period 1/delta_f_hz.
     """
 
@@ -41,8 +40,8 @@ class CombSpec:
             raise ValueError(f"num_tones must be >= 1, got {self.num_tones!r}")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be > 0, got {self.duration_s!r}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude!r}")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(f"amplitude must be > 0, got {self.amplitude!r}")
         if not math.isfinite(self.f0_hz) or self.f0_hz + self.delta_f_hz <= 0:
             raise ValueError(
                 "lowest tone frequency f0_hz + delta_f_hz must be positive"
@@ -62,15 +61,6 @@ class CombSpec:
     def center_frequency_hz(self) -> float:
         """Mean tone frequency (midpoint of the comb)."""
         return self.f0_hz + 0.5 * (self.num_tones + 1) * self.delta_f_hz
-
-
-def tone_frequency(comb: CombSpec, n: int) -> float:
-    """Frequency of tone n (1-based)."""
-    if not isinstance(n, int) or not (1 <= n <= comb.num_tones):
-        raise ValueError(
-            f"tone index must be in 1..{comb.num_tones}, got {n!r}"
-        )
-    return comb.f0_hz + n * comb.delta_f_hz
 
 
 def wavelength(freq_hz: float) -> float:
@@ -99,7 +89,7 @@ def comb_spectrum_lines(comb: CombSpec, sample_rate_hz: float,
     full-amplitude line reads ≈ comb.amplitude. The sample rate must exceed
     twice the highest tone.
     """
-    f_max = tone_frequency(comb, comb.num_tones)
+    f_max = comb.tone_frequencies[-1]
     if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 2.0 * f_max):
         raise ValueError(
             f"sample_rate_hz must exceed twice the highest tone "

@@ -24,7 +24,6 @@ from combbeam.conventional import (
 from combbeam.geometry import Scene, Source, Vec3, azimuth_of, planar_array
 from combbeam.kspace import (
     AxisCalibration,
-    apply_calibration,
     beamform_envelope,
     estimate_azimuths,
     find_peaks,
@@ -135,8 +134,7 @@ def test_05_dirichlet_envelope_and_sidelobe(demo_comb):
         kernel = np.abs(np.where(np.abs(den) < 1e-15, 21.0,
                                  np.sin(21 * np.pi * psi) / den))
     dev = float(np.max(np.abs(out.envelope / 21.0 - kernel / 21.0)))
-    out = apply_calibration(out, AxisCalibration(-1, 0.0,
-                                                 demo_comb.delta_f_hz))
+    out.calibration = AxisCalibration(-1, 0.0, demo_comb.delta_f_hz)
     peak = find_peaks(out, 0.5, 0.0)[0]
     sll = first_sidelobe_db(out, peak)
     ok = dev <= 1e-9 and -13.5 <= sll <= -12.9
@@ -214,7 +212,8 @@ def test_09_phase_map_orientation():
     src = cfg.scene.sources[0]
     sx, sy = mean_adjacent_steps(phase_map(cfg.geometry, src, freq))
     center = 6.5 * cfg.geometry.dx_m
-    d = src.position.as_array() - np.array([center, center, 0.0])
+    p = src.position
+    d = np.array([p.x - center, p.y - center, p.z])
     d /= np.linalg.norm(d)
     expected = abs(d[1] / d[0])
     ratio = sy / sx

@@ -11,11 +11,9 @@ from combbeam.geometry import (
     Scene,
     Source,
     Vec3,
-    array_center,
     azimuth_elevation_to_uv,
     azimuth_of,
     distance,
-    element_positions,
     element_positions_array,
     linear_array,
     planar_array,
@@ -32,14 +30,13 @@ points = st.builds(Vec3, finite, finite, finite)
 
 def test_linear_array_positions_are_exact_multiples():
     geom = linear_array(21, D21)
-    pos = element_positions(geom)
-    assert len(pos) == 21
-    assert pos[0] == ORIGIN
-    for m, p in enumerate(pos):
-        assert p.x == m * D21
-        assert p.y == 0.0 and p.z == 0.0
+    pos = element_positions_array(geom)
+    assert pos.shape == (21, 3)
+    for m, (x, y, z) in enumerate(pos.tolist()):
+        assert x == m * D21
+        assert y == 0.0 and z == 0.0
     # total span of the 21-element line, against the rounded quoted value
-    assert abs(pos[-1].x - 0.1577442) < 1e-6
+    assert abs(pos[-1, 0] - 0.1577442) < 1e-6
 
 
 def test_planar_positions_row_major():
@@ -50,8 +47,6 @@ def test_planar_positions_row_major():
         [0.5, 0.0, 0.0], [0.5, 0.25, 0.0], [0.5, 0.5, 0.0],
     ])
     np.testing.assert_array_equal(pos, expected)
-    center = array_center(geom)
-    assert (center.x, center.y, center.z) == (0.25, 0.25, 0.0)
 
 
 def test_array_geometry_validation():

@@ -1,6 +1,8 @@
 """The array propagation kernel against the scalar per-element phase
 functions, over random linear and planar arrays and both scene models
-(the comb-tuned phasors over linear arrays only)."""
+(the comb-tuned phasors over linear arrays only). The oracles take element
+positions and tone frequencies from the scalar formulas written out here,
+not from the package's array forms."""
 
 import math
 
@@ -14,7 +16,6 @@ from combbeam.geometry import (
     Scene,
     Source,
     Vec3,
-    element_positions,
     element_positions_array,
     linear_array,
     planar_array,
@@ -26,7 +27,7 @@ from combbeam.propagation import (
     received_phase_farfield,
     scene_element_phasors,
 )
-from combbeam.waveform import CombSpec, tone_frequency
+from combbeam.waveform import CombSpec
 
 REL_TOL = 1e-10
 
@@ -84,6 +85,13 @@ def scenes(draw):
     return Scene(sources=tuple(draw(sources)), model="far-field")
 
 
+def _positions(geometry) -> list[Vec3]:
+    """Element (m, n) at origin + (m·dx, n·dy, 0), m outer."""
+    o = geometry.origin
+    return [Vec3(o.x + m * geometry.dx_m, o.y + n * geometry.dy_m, o.z)
+            for m in range(geometry.m) for n in range(geometry.n)]
+
+
 def _oracle_phase(source: Source, farfield: bool, pos: Vec3, freq: float,
                   sign: PhaseSign) -> float:
     if not farfield:
@@ -128,9 +136,9 @@ def test_scene_element_phasors_match_scalar_oracle(
     tones = tuple(range(e, 0, -1) if descending else range(1, e + 1))
     f_lo = lo_fraction * f0
     ps = scene_element_phasors(scene, geometry, comb, f_lo, sign)
-    freqs = [tone_frequency(comb, t) for t in tones]
-    want = comb_amplitude * _oracle_field(scene, element_positions(geometry),
-                                          freqs, sign)
+    freqs = [f0 + t * delta_f for t in tones]
+    want = comb_amplitude * _oracle_field(scene, _positions(geometry), freqs,
+                                          sign)
     bound = comb_amplitude * sum(s.amplitude for s in scene.sources)
     _check(ps.amplitudes, want, bound, "phasors")
     assert ps.tones.tolist() == list(tones)
@@ -143,7 +151,7 @@ def test_scene_element_phasors_match_scalar_oracle(
 def test_scene_snapshot_matches_scalar_oracle(geometry, scene, freq):
     snap = scene_snapshot(scene, geometry, freq)
     assert snap.shape == (geometry.m, geometry.n)
-    positions = element_positions(geometry)
+    positions = _positions(geometry)
     want = _oracle_field(scene, positions, [freq] * len(positions),
                          PhaseSign.ADVANCE)
     _check(snap, want, sum(s.amplitude for s in scene.sources), "snapshot")
@@ -158,7 +166,7 @@ def test_phase_map_matches_scalar_oracle(geometry, source, freq):
     assert np.all((deg > -180.0) & (deg <= 180.0))
     want = [_oracle_phase(source, source.is_farfield, pos, freq,
                           PhaseSign.DELAY)
-            for pos in element_positions(geometry)]
+            for pos in _positions(geometry)]
     # compare on the unit circle: ±180° are the same phase
     _check(np.exp(1j * np.radians(deg)), np.exp(1j * np.array(want)), 1.0,
            "phase_map")
@@ -172,7 +180,7 @@ def test_farfield_reduction_keeps_w_positive_behind_the_array():
                          farfield=True)
     plane = Source.farfield(0.6, 0.0)
     want = [received_phase_farfield(plane, p, 19e9)
-            for p in element_positions(geom)]
+            for p in _positions(geom)]
     np.testing.assert_allclose(np.exp(1j * phi), np.exp(1j * np.array(want)),
                                rtol=0, atol=1e-12)
 

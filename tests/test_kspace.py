@@ -11,7 +11,6 @@ from combbeam.kspace import (
     AxisCalibration,
     SimConfig,
     _quadratic_peak,
-    apply_calibration,
     beamform_envelope,
     beamform_rf,
     calibrate_axis,
@@ -238,8 +237,8 @@ def test_calibrate_round_trips_probe(demo_comb, demo_geometry):
     cal = calibrate_axis(demo_geometry, demo_comb, 19e9)
     scene = Scene(sources=(Source.farfield(0.5, 0.0),), model="far-field")
     ps = scene_element_phasors(scene, demo_geometry, demo_comb, 19e9)
-    out = apply_calibration(
-        beamform_envelope(ps, default_time_grid(demo_comb, 4096)), cal)
+    out = beamform_envelope(ps, default_time_grid(demo_comb, 4096))
+    out.calibration = cal
     top = find_peaks(out, 0.5, 0.0)[0]
     assert top.u == pytest.approx(0.5, abs=1e-6)
 
@@ -289,7 +288,7 @@ def test_find_peaks_empty_for_silent_scene(demo_comb, demo_geometry):
 def test_find_peaks_rejects_constant_envelope():
     ps = PhasorSet([1 + 0j], [1], [1e6], f_lo_hz=19e9, delta_f_hz=0.2e6)
     out = beamform_envelope(ps, np.arange(64) * (5e-6 / 64))
-    out = apply_calibration(out, AxisCalibration(-1, 0.0, 0.2e6))
+    out.calibration = AxisCalibration(-1, 0.0, 0.2e6)
     with pytest.raises(ValueError):
         find_peaks(out)
 

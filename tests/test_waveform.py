@@ -11,7 +11,6 @@ from combbeam.waveform import (
     CombSpec,
     comb_spectrum_lines,
     comb_value,
-    tone_frequency,
     wavelength,
 )
 
@@ -21,20 +20,13 @@ def test_speed_of_light_is_exact():
 
 
 def test_tone_frequencies_of_demo_comb(demo_comb):
-    assert tone_frequency(demo_comb, 1) == 19.0010e9
-    assert tone_frequency(demo_comb, 21) == 19.0050e9
+    assert demo_comb.tone_frequencies[0] == 19.0010e9
+    assert demo_comb.tone_frequencies[-1] == 19.0050e9
     np.testing.assert_allclose(
         demo_comb.tone_frequencies,
         19.0008e9 + 0.2e6 * np.arange(1, 22), rtol=0, atol=1e-3)
     assert demo_comb.center_frequency_hz == pytest.approx(19.003e9, abs=1e-3)
     assert demo_comb.period_s == pytest.approx(5e-6, rel=1e-15)
-
-
-def test_tone_index_bounds(demo_comb):
-    with pytest.raises(ValueError):
-        tone_frequency(demo_comb, 0)
-    with pytest.raises(ValueError):
-        tone_frequency(demo_comb, 22)
 
 
 def test_wavelengths_match_quoted_values():
@@ -59,9 +51,10 @@ def test_comb_spec_validation():
         CombSpec(f0_hz=1e9, delta_f_hz=1e6, num_tones=3, duration_s=0.0)
     with pytest.raises(ValueError):
         CombSpec(f0_hz=-2e9, delta_f_hz=1e6, num_tones=3, duration_s=1e-6)
-    with pytest.raises(ValueError):
-        CombSpec(f0_hz=1e9, delta_f_hz=1e6, num_tones=3, duration_s=1e-6,
-                 amplitude=-1.0)
+    for amplitude in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="amplitude"):
+            CombSpec(f0_hz=1e9, delta_f_hz=1e6, num_tones=3, duration_s=1e-6,
+                     amplitude=amplitude)
 
 
 def test_comb_value_at_zero_is_tone_count():
