@@ -20,7 +20,8 @@ Scenario schema (all frequencies Hz, lengths m, times s, angles deg)::
         range_m: 8.4853
       - position: [20.0, 0.0, 15.0]
       - farfield: [0.5, 0.0]    # plane wave from direction cosines (u, v)
-      # every form also accepts amplitude (default 1.0), phase_rad (default 0.0)
+        amplitude: 1.0          # optional in every form, >= 0, default 1.0
+        phase_rad: 0.0          # optional in every form, default 0.0
     sim:                        # optional
       grid_points: 4096
       lo_hz: 19000000000.0      # default: comb f0_hz
@@ -34,8 +35,9 @@ Scenario schema (all frequencies Hz, lengths m, times s, angles deg)::
       emit_rf: false            # also write rf.csv (simulate)
       emit_phase_map: false     # also write phase_map.csv (simulate)
 
-Point sources and plane waves cannot be mixed in one scenario (the wavefront
-model is scene-wide). Commands:
+A missing or null sim or output section means all its defaults. Point
+sources and plane waves cannot be mixed in one scenario (the wavefront model
+is scene-wide). Commands:
 
     combbeam simulate --config scenario.yaml --out DIR
         envelope.csv, peaks.csv, phasors.csv (+ rf.csv / phase_map.csv)
@@ -52,12 +54,13 @@ model is scene-wide). Commands:
 
 The envelope repeats every 1/delta_f_hz and is sampled on sim.grid_points
 points over duration_s; a duration that is not a whole number of periods is
-a configuration error. Exit codes: 0 success, 1 configuration errors
-(including bad or missing flags, and --seed on a scenario without
-sim.noise), 2 runtime (math/model) errors, 3 I/O errors. The output
-directory is created with the first CSV, so a command that fails before
-writing leaves none. CSV files are written atomically (temp file + rename)
-with full-precision repr() floats and no timestamps, so reruns are
+a configuration error. So is a grid_points below num_tones times the number
+of periods: each tone needs an FFT bin of its own. Exit codes: 0 success,
+1 configuration errors (including bad or missing flags, and --seed on a
+scenario without sim.noise), 2 runtime (math/model) errors, 3 I/O errors.
+The output directory is created with the first CSV, so a command that fails
+before writing leaves none. CSV files are written atomically (temp file +
+rename) with full-precision repr() floats and no timestamps, so reruns are
 byte-identical.
 """
 
@@ -67,7 +70,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -109,8 +112,6 @@ __all__ = [
     "main",
 ]
 
-_REQUIRED = object()
-
 
 class ConfigError(Exception):
     """Scenario configuration is malformed or inconsistent."""
@@ -124,94 +125,110 @@ class ScenarioConfig:
     geometry: ArrayGeometry
     scene: Scene
     sim: SimConfig
-    output_directory: str | None
-    emit_rf: bool
-    emit_phase_map: bool
+    output_directory: str | None = None
+    emit_rf: bool = False
+    emit_phase_map: bool = False
 
 
-def _mapping(value: Any, path: str) -> dict:
+# Section -> key -> kind. A kind is float (any number), int, bool, str, dict
+# (a section of its own), list (non-empty), a tuple of allowed strings, or
+# [float] * n (a list of n numbers). Defaults and bounds live only in the
+# dataclass a section builds, and a key is required when its field has no
+# default. The module docstring documents this table.
+_SCHEMA: dict[str, dict[str, Any]] = {
+    "config": {"comb": dict, "array": dict, "sources": list, "sim": dict,
+               "output": dict},
+    "comb": {"f0_hz": float, "delta_f_hz": float, "num_tones": int,
+             "duration_s": float, "amplitude": float},
+    "array": {"kind": ("linear", "planar"), "m": int, "dx_m": float,
+              "n": int, "dy_m": float,
+              "tuning_order": ("ascending", "descending")},
+    "sources": {"az_deg": float, "range_m": float, "position": [float] * 3,
+                "farfield": [float] * 2, "amplitude": float,
+                "phase_rad": float},
+    "sim": {"grid_points": int, "lo_hz": float,
+            "phase_sign": ("delay", "advance"), "calibration_range_m": float,
+            "threshold_fraction": float, "min_separation_u": float,
+            "noise": dict},
+    "sim.noise": {"sigma": float, "seed": int},
+    "output": {"directory": str, "emit_rf": bool, "emit_phase_map": bool},
+}
+_EXPECTED = {float: "a number", int: "an integer", bool: "true/false",
+             str: "a string"}
+
+
+def _section(value: Any, path: str, schema: str | None = None) -> dict:
+    """The keys a section gives, each checked against its kind in
+    _SCHEMA[schema or path]; unknown keys are errors, and a missing or null
+    section gives none."""
+    if value is None:
+        return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _no_extra(d: dict, path: str, allowed: set[str]) -> None:
-    extra = set(d) - allowed
+    kinds = _SCHEMA[schema or path]
+    extra = set(value) - set(kinds)
     if extra:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(extra)}")
+        raise ConfigError(f"{path}: unknown key(s) {sorted(extra, key=str)}")
+    prefix = "" if path == "config" else f"{path}."  # sections are top level
+    return {key: _checked(v, kinds[key], prefix + key)
+            for key, v in value.items()}
 
 
-def _num(d: dict, key: str, path: str, default: Any = _REQUIRED) -> float:
-    if key not in d:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+def _is(v: Any, kind: type) -> bool:
+    if isinstance(v, bool) and kind is not bool:
+        return False  # YAML true/false is not a number
+    if kind is float and isinstance(v, int):
+        return abs(v) <= sys.float_info.max  # else float(v) overflows
+    return isinstance(v, (int, float) if kind is float else kind)
 
 
-def _int(d: dict, key: str, path: str, default: Any = _REQUIRED) -> int:
-    if key not in d:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
+def _checked(v: Any, kind: Any, path: str) -> Any:
+    """v if it has this kind (numbers as float), else a ConfigError."""
+    if kind is dict:
+        return _section(v, path)
+    if kind is list:
+        if isinstance(v, list) and v:
+            return v
+        raise ConfigError(f"{path}: expected a non-empty list")
+    if isinstance(kind, tuple):
+        if v in kind:
+            return v
+        raise ConfigError(f"{path}: expected one of {kind}, got {v!r}")
+    if isinstance(kind, list):
+        if (isinstance(v, list) and len(v) == len(kind)
+                and all(_is(x, float) for x in v)):
+            return [float(x) for x in v]
+        raise ConfigError(f"{path}: expected a list of {len(kind)} numbers")
+    if _is(v, kind):
+        return kind(v)
+    raise ConfigError(f"{path}: expected {_EXPECTED[kind]}, got {v!r}")
 
 
-def _bool(d: dict, key: str, path: str, default: bool) -> bool:
-    v = d.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {v!r}")
-    return v
-
-
-def _choice(d: dict, key: str, path: str, choices: tuple[str, ...],
-            default: Any = _REQUIRED) -> str:
-    if key not in d:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if v not in choices:
-        raise ConfigError(f"{path}.{key}: expected one of {choices}, got {v!r}")
-    return v
-
-
-def _number_list(value: Any, path: str, length: int) -> list[float]:
-    if (not isinstance(value, (list, tuple)) or len(value) != length
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in value)):
-        raise ConfigError(f"{path}: expected a list of {length} numbers")
-    return [float(x) for x in value]
+def _build(cls: type, given: dict, path: str) -> Any:
+    """cls(**given); a field without a default is required, and the
+    dataclass's own ValueError becomes a config error on the section."""
+    for f in fields(cls):
+        if f.name not in given and f.default is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
+    try:
+        return cls(**given)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _parse_source(entry: Any, path: str) -> Source:
-    d = _mapping(entry, path)
-    _no_extra(d, path, {"az_deg", "range_m", "position", "farfield",
-                        "amplitude", "phase_rad"})
-    amplitude = _num(d, "amplitude", path, 1.0)
-    phase_rad = _num(d, "phase_rad", path, 0.0)
+    d = _section(entry, path, "sources")
+    extras = {key: d[key] for key in ("amplitude", "phase_rad") if key in d}
+    if ("az_deg" in d) != ("range_m" in d):
+        raise ConfigError(f"{path}: az_deg and range_m come as a pair")
     forms = [name for name in ("az_deg", "position", "farfield") if name in d]
-    if "range_m" in d and "az_deg" not in d:
-        raise ConfigError(f"{path}: range_m needs az_deg")
     try:
         if forms == ["az_deg"]:
-            if "range_m" not in d:
-                raise ConfigError(f"{path}: az_deg needs range_m")
-            return source_from_az_range(_num(d, "az_deg", path),
-                                        _num(d, "range_m", path),
-                                        amplitude, phase_rad)
+            return source_from_az_range(d["az_deg"], d["range_m"], **extras)
         if forms == ["position"]:
-            x, y, z = _number_list(d["position"], f"{path}.position", 3)
-            return Source.point(Vec3(x, y, z), amplitude, phase_rad)
+            return Source.point(Vec3(*d["position"]), **extras)
         if forms == ["farfield"]:
-            u, v = _number_list(d["farfield"], f"{path}.farfield", 2)
-            return Source.farfield(u, v, amplitude, phase_rad)
+            return Source.farfield(*d["farfield"], **extras)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
     raise ConfigError(
@@ -229,7 +246,13 @@ def _check_duration(comb: CombSpec, what: str) -> None:
 def _check_tunable(comb: CombSpec, geometry: ArrayGeometry, sim: SimConfig,
                    what: str = "") -> AxisCalibration:
     """run_beamform's axis calibration for these settings; its ValueError for
-    an untunable array (see calibrate_axis) becomes a config error."""
+    an untunable array (see calibrate_axis) becomes a config error, and so
+    does a grid with fewer than N samples per envelope period, on which the
+    N tones share FFT bins."""
+    floor = comb.num_tones * whole_periods(comb.duration_s, comb.delta_f_hz)
+    if sim.grid_points < floor:
+        raise ConfigError(f"{what}sim.grid_points: {sim.grid_points} is below "
+                          f"num_tones * periods = {floor}")
     try:
         return calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
                               sim.grid_points, sim.calibration_range_m)
@@ -243,98 +266,34 @@ def parse_config(text: str) -> ScenarioConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from e
-    root = _mapping(data, "config")
-    _no_extra(root, "config", {"comb", "array", "sources", "sim", "output"})
-    for section in ("comb", "array", "sources"):
-        if section not in root:
-            raise ConfigError(f"config.{section}: required")
-
-    cd = _mapping(root["comb"], "comb")
-    _no_extra(cd, "comb", {"f0_hz", "delta_f_hz", "num_tones", "duration_s",
-                           "amplitude"})
-    try:
-        comb = CombSpec(
-            f0_hz=_num(cd, "f0_hz", "comb"),
-            delta_f_hz=_num(cd, "delta_f_hz", "comb"),
-            num_tones=_int(cd, "num_tones", "comb"),
-            duration_s=_num(cd, "duration_s", "comb"),
-            amplitude=_num(cd, "amplitude", "comb", 1.0),
-        )
-    except ValueError as e:
-        raise ConfigError(f"comb: {e}") from e
+    given = _section(data, "config")
+    comb = _build(CombSpec, given.get("comb", {}), "comb")
     _check_duration(comb, "comb.duration_s")
+    geometry = _build(ArrayGeometry, given.get("array", {}), "array")
 
-    ad = _mapping(root["array"], "array")
-    _no_extra(ad, "array", {"kind", "m", "dx_m", "n", "dy_m", "tuning_order"})
-    kind = _choice(ad, "kind", "array", ("linear", "planar"))
-    try:
-        geometry = ArrayGeometry(
-            kind=kind,  # type: ignore[arg-type]
-            m=_int(ad, "m", "array"),
-            dx_m=_num(ad, "dx_m", "array"),
-            n=_int(ad, "n", "array", 1),
-            dy_m=_num(ad, "dy_m", "array", 0.0),
-            tuning_order=_choice(ad, "tuning_order", "array",
-                                 ("ascending", "descending"),
-                                 "ascending"),  # type: ignore[arg-type]
-        )
-    except ValueError as e:
-        raise ConfigError(f"array: {e}") from e
-
-    if not isinstance(root["sources"], list) or not root["sources"]:
-        raise ConfigError("sources: expected a non-empty list")
     sources = tuple(_parse_source(entry, f"sources[{i}]")
-                    for i, entry in enumerate(root["sources"]))
-    kinds = {s.is_farfield for s in sources}
-    if kinds == {True, False}:
+                    for i, entry in enumerate(given.get("sources", [])))
+    farfield = {s.is_farfield for s in sources}
+    if farfield == {True, False}:
         raise ConfigError(
             "sources: cannot mix far-field and point sources in one scenario"
         )
-    model = "far-field" if kinds == {True} else "exact-spherical"
-    scene = Scene(sources=sources, model=model)  # type: ignore[arg-type]
+    model = "far-field" if farfield == {True} else "exact-spherical"
+    scene = _build(Scene, {"sources": sources, "model": model}, "sources")
 
-    sd = _mapping(root.get("sim", {}) or {}, "sim")
-    _no_extra(sd, "sim", {"grid_points", "lo_hz", "phase_sign",
-                          "calibration_range_m", "threshold_fraction",
-                          "min_separation_u", "noise"})
-    noise = None
+    sd = given.get("sim", {})
     if "noise" in sd:
-        nd = _mapping(sd["noise"], "sim.noise")
-        _no_extra(nd, "sim.noise", {"sigma", "seed"})
-        try:
-            noise = NoiseSpec(sigma=_num(nd, "sigma", "sim.noise"),
-                              seed=_int(nd, "seed", "sim.noise", 0))
-        except ValueError as e:
-            raise ConfigError(f"sim.noise: {e}") from e
-    try:
-        sim = SimConfig(
-            grid_points=_int(sd, "grid_points", "sim", 4096),
-            lo_hz=_num(sd, "lo_hz", "sim", None),
-            phase_sign=PhaseSign(_choice(sd, "phase_sign", "sim",
-                                         ("delay", "advance"), "delay")),
-            noise=noise,
-            threshold_fraction=_num(sd, "threshold_fraction", "sim", 0.5),
-            min_separation_u=_num(sd, "min_separation_u", "sim", None),
-            calibration_range_m=_num(sd, "calibration_range_m", "sim", None),
-        )
-    except ValueError as e:
-        raise ConfigError(f"sim: {e}") from e
+        sd["noise"] = _build(NoiseSpec, sd["noise"], "sim.noise")
+    if "phase_sign" in sd:
+        sd["phase_sign"] = PhaseSign(sd["phase_sign"])
+    sim = _build(SimConfig, sd, "sim")
+    if sim.lo_for(comb) < 0:
+        raise ConfigError("sim.lo_hz: required when comb.f0_hz is negative")
 
-    od = _mapping(root.get("output", {}) or {}, "output")
-    _no_extra(od, "output", {"directory", "emit_rf", "emit_phase_map"})
-    directory = od.get("directory")
-    if directory is not None and not isinstance(directory, str):
-        raise ConfigError(f"output.directory: expected a string, got {directory!r}")
-
-    return ScenarioConfig(
-        comb=comb,
-        geometry=geometry,
-        scene=scene,
-        sim=sim,
-        output_directory=directory,
-        emit_rf=_bool(od, "emit_rf", "output", False),
-        emit_phase_map=_bool(od, "emit_phase_map", "output", False),
-    )
+    output = given.get("output", {})
+    if "directory" in output:
+        output["output_directory"] = output.pop("directory")
+    return ScenarioConfig(comb, geometry, scene, sim, **output)
 
 
 def load_config_file(path: str | Path) -> ScenarioConfig:
@@ -443,10 +402,10 @@ def _write_phase_map(config: ScenarioConfig, src: Source, out_dir: Path,
 
 def cmd_phase_map(config: ScenarioConfig, out_dir: Path) -> None:
     if config.geometry.kind != "planar":
-        raise ConfigError("phase-map needs a planar array")
+        raise ConfigError("array.kind: phase-map needs a planar array")
     src = _phase_map_source(config)
     if src.is_farfield:
-        raise ConfigError("phase-map needs a point source")
+        raise ConfigError("sources: phase-map needs a point source")
     _write_phase_map(config, src, out_dir, with_curvature=True)
 
 
@@ -472,7 +431,7 @@ def _parse_sweep_values(param: str, raw: str) -> list:
 def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
               values: list) -> None:
     if len(config.scene.sources) != 1:
-        raise ConfigError("sweep needs a single-source scenario")
+        raise ConfigError("sources: sweep needs a single-source scenario")
     base = config.scene.sources[0]
     if base.is_farfield:
         if param == "range_m":

@@ -444,7 +444,7 @@ class SimConfig:
     phase_sign: PhaseSign = PhaseSign.DELAY
     noise: NoiseSpec | None = None
     threshold_fraction: float = 0.5
-    min_separation_u: float | None = None  # None → one resolution cell, 4/N
+    min_separation_u: float | None = None  # None → main-lobe width, 4/N
     calibration_range_m: float | None = None
 
     def __post_init__(self) -> None:
@@ -477,7 +477,7 @@ class SimConfig:
         return comb.f0_hz if self.lo_hz is None else self.lo_hz
 
     def min_separation_for(self, comb: CombSpec) -> float:
-        """min_separation_u, or one resolution cell 4/N when unset."""
+        """min_separation_u, or 4/N (main lobe, null to null) when unset."""
         return (4.0 / comb.num_tones if self.min_separation_u is None
                 else self.min_separation_u)
 

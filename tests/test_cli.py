@@ -58,6 +58,14 @@ def test_parse_rejects_unknown_keys():
         parse_config(text + "extra_section: {}\n")
 
 
+def test_unknown_keys_of_mixed_types_are_named():
+    # an integer key beside a string key once failed to sort and exited 2
+    text = scenario_path("single_source").read_text()
+    with pytest.raises(ConfigError,
+                       match=r"^comb: unknown key\(s\) \[1, 'foo'\]$"):
+        parse_config(text.replace("comb:", "comb:\n  1: 0\n  foo: 0"))
+
+
 def test_parse_rejects_bad_values():
     text = scenario_path("single_source").read_text()
 
@@ -78,6 +86,15 @@ def test_parse_rejects_bad_values():
     rejects(lambda c: c["sources"].append({"farfield": [0.1, 0.0]}))
     rejects(lambda c: c["array"].__setitem__("kind", "circular"))
     rejects(lambda c: c["sim"].__setitem__("noise", {"sigma": -1.0}))
+    # a falsy non-mapping section once parsed as all defaults
+    rejects(lambda c: c.__setitem__("sim", 0))
+    rejects(lambda c: c.__setitem__("sim", []))
+    rejects(lambda c: c.__setitem__("output", False))
+    rejects(lambda c: c.__setitem__("output", ""))
+    # an integer too large for a float once exited 2
+    rejects(lambda c: c["comb"].__setitem__("f0_hz", 10 ** 400))
+    rejects(lambda c: c["sources"].__setitem__(
+        0, {"position": [10 ** 400, 0.0, 1.0]}))
 
 
 def test_simulate_single_source(tmp_path):
@@ -431,6 +448,9 @@ def test_sweep_bad_value_is_a_config_error(tmp_path, capsys, param, value,
     ("lo_hz", -1.0),
     ("lo_hz", float("inf")),
     ("grid_points", 2),
+    ("grid_points", 3),
+    ("grid_points", 4),
+    ("grid_points", 16),
 ])
 def test_bad_sim_field_is_a_config_error(tmp_path, capsys, field, value):
     # min_separation_u: .nan once ran and found 1 peak of 3
@@ -443,6 +463,33 @@ def test_bad_sim_field_is_a_config_error(tmp_path, capsys, field, value):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert field in capsys.readouterr().err
+
+
+def test_negative_f0_without_an_lo_names_sim_lo_hz():
+    # the LO defaults to comb.f0_hz; a negative one was once reported as
+    # "f_lo_hz must be >= 0", a name no scenario has
+    data = yaml.safe_load(scenario_path("single_source").read_text())
+    data["comb"]["f0_hz"] = -100000.0
+    del data["sim"]["lo_hz"]
+    with pytest.raises(ConfigError, match=r"^sim\.lo_hz: "):
+        parse_config(yaml.safe_dump(data))
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_grid_coarser_than_the_tones_is_a_config_error(tmp_path, capsys,
+                                                       command):
+    # 3 points over 3 periods of 21 tones: simulate once exited 2, and
+    # calibrate exited 0 with every held-out probe read at u = 0.0
+    data = yaml.safe_load(scenario_path("single_source").read_text())
+    data["comb"]["duration_s"] = 0.000015
+    data["sim"]["grid_points"] = 3
+    cfg = tmp_path / "coarse.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sim.grid_points")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, name, edits, named", [

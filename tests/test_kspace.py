@@ -309,6 +309,24 @@ def test_find_peaks_reports_period_ambiguity(demo_geometry):
     assert dt == pytest.approx(comb.period_s, rel=1e-6)
 
 
+def test_default_thinning_is_the_main_lobe_width_4_over_n(demo_comb,
+                                                         demo_geometry):
+    # a second plane wave 3/N away is resolved, yet lies inside the 4/N
+    # null-to-null main lobe the default thins to; a 2/N default once
+    # passed every test
+    scene = Scene(sources=(Source.farfield(0.1),
+                           Source.farfield(0.1 + 3 / 21, amplitude=0.9)),
+                  model="far-field")
+
+    def peaks(min_separation_u):
+        return run_beamform(scene, demo_geometry, demo_comb,
+                            SimConfig(lo_hz=19e9,
+                                      min_separation_u=min_separation_u)).peaks
+
+    assert len(peaks(None)) == 1
+    assert len(peaks(2 / 21)) == 2
+
+
 def test_find_peaks_validation(demo_comb, demo_geometry, demo_scene):
     out = run_beamform(demo_scene, demo_geometry, demo_comb,
                        SimConfig(lo_hz=19e9))
