@@ -229,9 +229,12 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     adds the element-summed noise, one CN(0, E·sigma²) stream drawn by
     summed_noise for (seed, trial), to the noiseless FFT envelope. Output
     SNR per trial reads the noisy envelope power at the noiseless peak
-    position against a noise floor estimated from the median residual power
-    outside ±2 resolution cells (median scaled by 1/ln 2 for exponential
-    power). Trial ratios are averaged linearly, then converted to dB once.
+    position against a noise floor: the median power of that trial's noise
+    draw over the samples more than 8/N in u from the peak (4 resolution
+    cells of 2/N; the whole grid when that window covers it, as for N ≤ 8
+    over one period), scaled by 1/ln 2 for exponential power. The floor is
+    read from the noise alone, so the window sets only its sample count.
+    Trial ratios are averaged linearly, then converted to dB once.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
@@ -250,20 +253,29 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
         raise ValueError("scene delivers zero signal power")
     snr_in = sig_power / sigma ** 2
 
-    # exclude ±2 resolution cells (4/N in u ↔ 2/(N·Δf) in t) around the peak
+    # cell_samples spans 4/N in u (2/(N·Δf) in t); dropping 2·cell_samples
+    # on each side of the peak excludes ±8/N, 4 cells of 2/N
     cell_samples = max(1, round(2.0 / (comb.num_tones * comb.delta_f_hz)
                                 / (comb.duration_s / config.grid_points)))
     dist = np.abs(np.arange(n) - i_peak)
-    keep = np.minimum(dist, n - dist) > 2 * cell_samples
-    if not keep.any():
-        keep = np.ones(n, dtype=bool)
+    kept = np.flatnonzero(np.minimum(dist, n - dist) > 2 * cell_samples)
+    if kept.size == 0:
+        kept = np.arange(n)
+    # np.median's ranks: the middle one, or the two middle ones of an even
+    # count (a repeated rank makes partition slower, hence the set)
+    lo, hi = (kept.size - 1) // 2, kept.size // 2
+    ranks = sorted({lo, hi})
 
     spec = NoiseSpec(sigma=sigma, seed=seed)
     ratios = np.empty(trials)
     for k in range(trials):
         w = summed_noise(spec, num_elements, n, trial=k)
+        residual = w[kept]
+        power = residual.real * residual.real
+        power += residual.imag * residual.imag
+        power.partition(ranks)
+        p_floor = float(power[lo] + power[hi]) / 2.0 / math.log(2.0)
         p_peak = float(np.abs(z_clean[i_peak] + w[i_peak]) ** 2)
-        p_floor = float(np.median(np.abs(w[keep]) ** 2)) / math.log(2.0)
         ratios[k] = (p_peak - p_floor) / p_floor
     # trial ratios may dip below zero; only the averaged ratio must be positive
     mean_ratio = max(float(np.mean(ratios)), 1e-12)

@@ -508,10 +508,10 @@ def estimate_azimuths(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
 
 
 def _nearest_index(time_s: np.ndarray, t: float) -> int:
-    span = float(time_s[-1] - time_s[0]) + float(time_s[1] - time_s[0])
-    offs = (np.asarray(time_s) - t) % span
-    offs = np.minimum(offs, span - offs)
-    return int(np.argmin(offs))
+    """Index of the sample of the uniform grid ``time_s`` nearest ``t``,
+    circularly over the grid's span; a half-sample tie gives either one."""
+    dt = float(time_s[1] - time_s[0])
+    return round(float(t - time_s[0]) / dt) % len(time_s)
 
 
 def peak_width_u(out: BeamformOutput, peak: Peak) -> float:

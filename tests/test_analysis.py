@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+from combbeam import analysis
 from combbeam.analysis import (
     brute_force_peak,
     compare_methods,
@@ -22,9 +23,12 @@ from combbeam.kspace import (
     SimConfig,
     _quadratic_peak,
     complex_field,
+    default_time_grid,
+    periodic_field,
     run_beamform,
 )
-from combbeam.propagation import PhaseSign, scene_element_phasors
+from combbeam.propagation import (NoiseSpec, PhaseSign, scene_element_phasors,
+                                  summed_noise)
 from combbeam.waveform import CombSpec, wavelength
 
 from conftest import D21
@@ -256,3 +260,80 @@ def test_snr_gain_validation(demo_comb, demo_geometry, demo_scene):
                    model="far-field")
     with pytest.raises(ValueError):
         snr_gain(silent, demo_geometry, demo_comb, 1.0)
+
+
+def _snr_gain_by_median(scene, geometry, comb, sigma, trials, seed, config):
+    """The per-trial np.median loop snr_gain replaced; returns the gain and
+    the number of samples its floor is read from."""
+    phasors = scene_element_phasors(scene, geometry, comb,
+                                    config.lo_for(comb), config.phase_sign)
+    z_clean = periodic_field(phasors,
+                             default_time_grid(comb, config.grid_points))
+    i_peak = int(np.argmax(np.abs(z_clean)))
+    n = z_clean.size
+    snr_in = float(np.mean(np.abs(phasors.amplitudes) ** 2)) / sigma ** 2
+    cell_samples = max(1, round(2.0 / (comb.num_tones * comb.delta_f_hz)
+                                / (comb.duration_s / config.grid_points)))
+    dist = np.abs(np.arange(n) - i_peak)
+    keep = np.minimum(dist, n - dist) > 2 * cell_samples
+    if not keep.any():
+        keep = np.ones(n, dtype=bool)
+    spec = NoiseSpec(sigma=sigma, seed=seed)
+    ratios = np.empty(trials)
+    for k in range(trials):
+        w = summed_noise(spec, len(phasors), n, trial=k)
+        p_peak = float(np.abs(z_clean[i_peak] + w[i_peak]) ** 2)
+        p_floor = float(np.median(np.abs(w[keep]) ** 2)) / math.log(2.0)
+        ratios[k] = (p_peak - p_floor) / p_floor
+    mean_ratio = max(float(np.mean(ratios)), 1e-12)
+    return 10.0 * math.log10(mean_ratio / snr_in), int(keep.sum())
+
+
+def _boresight_line(num_tones):
+    comb = CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=num_tones,
+                    duration_s=5e-6)
+    scene = Scene(sources=(Source.farfield(0.0, 0.0),), model="far-field")
+    return scene, linear_array(num_tones, D21), comb
+
+
+@pytest.mark.parametrize("case, seed, trials, kept", [
+    ("single_source", 0, 100, 2535), ("single_source", 1, 100, 2535),
+    ("single_source", 2, 100, 2535), ("single_source", 3, 100, 2535),
+    ("grid_4095", 0, 100, 2534),
+    ("one_element", 0, 100, 4096),
+    ("hundred_elements", 0, 60, 1883),
+    ("single_source", 5, 1, 2535),
+])
+def test_snr_gain_matches_the_per_trial_median(case, seed, trials, kept):
+    if case in ("single_source", "grid_4095"):
+        cfg = load_config_file(scenario_path("single_source"))
+        scene, geom, comb, sim = cfg.scene, cfg.geometry, cfg.comb, cfg.sim
+        if case == "grid_4095":
+            sim = replace(sim, grid_points=4095)
+    elif case == "one_element":
+        scene, geom, comb = _boresight_line(1)
+        sim = SimConfig(lo_hz=19e9)
+    else:
+        scene, geom, comb = _boresight_line(100)
+        sim = SimConfig(lo_hz=19e9, grid_points=2048)
+    want, count = _snr_gain_by_median(scene, geom, comb, 1.0, trials, seed,
+                                      sim)
+    assert count == kept  # an odd count, an even one and the whole grid
+    got = snr_gain(scene, geom, comb, 1.0, trials=trials, seed=seed,
+                   config=sim)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_snr_gain_draws_each_trial_once(monkeypatch, demo_comb,
+                                        demo_geometry, demo_scene,
+                                        demo_config):
+    calls = []
+
+    def counting(spec, num_elements, num_samples, trial=0):
+        calls.append(trial)
+        return summed_noise(spec, num_elements, num_samples, trial)
+
+    monkeypatch.setattr(analysis, "summed_noise", counting)
+    snr_gain(demo_scene, demo_geometry, demo_comb, 1.0, trials=7,
+             config=demo_config)
+    assert calls == list(range(7))

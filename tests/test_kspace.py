@@ -10,6 +10,7 @@ from combbeam.geometry import Scene, Source, Vec3, linear_array, planar_array
 from combbeam.kspace import (
     AxisCalibration,
     SimConfig,
+    _nearest_index,
     _quadratic_peak,
     beamform_envelope,
     beamform_rf,
@@ -393,6 +394,41 @@ def test_beam_width_scales_inversely_with_tone_count():
         widths[n] = peak_width_u(out, out.peaks[0])
     assert widths[11] / widths[21] == pytest.approx(21 / 11, rel=0.10)
     assert widths[21] / widths[41] == pytest.approx(41 / 21, rel=0.10)
+
+
+def _nearest_index_by_scan(time_s, t):
+    # the whole-grid form: argmin of circular distance over the grid's span
+    span = float(time_s[-1] - time_s[0]) + float(time_s[1] - time_s[0])
+    offs = (np.asarray(time_s) - t) % span
+    offs = np.minimum(offs, span - offs)
+    return int(np.argmin(offs))
+
+
+@pytest.mark.parametrize("points, t0", [
+    (4096, 0.0), (16384, 0.0), (4095, 0.0), (300, 3.7e-7)])
+def test_nearest_index_matches_the_grid_scan(points, t0):
+    dt = 5e-6 / points
+    time_s = t0 + np.arange(points) * dt
+    rng = np.random.default_rng(points)
+    # inside and outside one span, both grid ends, and across the wrap
+    offsets = np.concatenate([
+        rng.uniform(-2.0, 3.0, 1000) * points,
+        [0.0, points - 1.0, points, -0.3, -0.7, points - 0.3, points - 0.7,
+         2 * points + 0.2, -points - 0.2]])
+    checked = 0
+    for x in offsets:
+        if abs(x % 1.0 - 0.5) < 1e-6:
+            continue
+        t = t0 + x * dt
+        assert _nearest_index(time_s, t) == _nearest_index_by_scan(time_s, t)
+        checked += 1
+    assert checked > 1000
+    assert _nearest_index(time_s, t0 + (points - 0.3) * dt) == 0
+    assert _nearest_index(time_s, t0 - 0.7 * dt) == points - 1
+    # an exact half-sample tie gives one of its two neighbours
+    for k in list(rng.integers(0, points, 200)) + [0, points - 1]:
+        i = _nearest_index(time_s, t0 + (k + 0.5) * dt)
+        assert i in (k, (k + 1) % points)
 
 
 def test_sim_config_validation():
