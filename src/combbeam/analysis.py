@@ -311,12 +311,12 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     is the dense oracle it is tested against.
     """
     f_lo = config.lo_for(comb)
+    cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
+                         config.grid_points, config.calibration_range_m)
     grid = default_time_grid(comb, config.grid_points)
     times = {s: _peak_time(scene_element_phasors(scene, geometry, comb, f_lo,
                                                  s), grid) % comb.period_s
              for s in (PhaseSign.DELAY, PhaseSign.ADVANCE)}
-    cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
-                         config.grid_points, config.calibration_range_m)
     u = float(time_to_u(cal, times[PhaseSign.DELAY]))
     return PeakTimeReport(
         delay_peak_time_s=times[PhaseSign.DELAY],

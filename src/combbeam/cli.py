@@ -70,9 +70,10 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, NoReturn, Sequence
+from typing import Any, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 import yaml
@@ -87,8 +88,8 @@ from .geometry import (
     source_from_az_range,
 )
 from .kspace import (
-    AxisCalibration,
     SimConfig,
+    _check_tunable,
     _peak_time,
     _sweep_step,
     beamform_rf,
@@ -115,6 +116,16 @@ __all__ = [
 
 class ConfigError(Exception):
     """Scenario configuration is malformed or inconsistent."""
+
+
+@contextmanager
+def _config_errors(prefix: str = "") -> Iterator[None]:
+    """Re-raise a ValueError from the block as a ConfigError, its message
+    after ``prefix``."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{prefix}{e}") from e
 
 
 @dataclass(frozen=True)
@@ -210,10 +221,8 @@ def _build(cls: type, given: dict, path: str) -> Any:
     for f in fields(cls):
         if f.name not in given and f.default is MISSING:
             raise ConfigError(f"{path}.{f.name}: required")
-    try:
+    with _config_errors(f"{path}: "):
         return cls(**given)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def _parse_source(entry: Any, path: str) -> Source:
@@ -222,42 +231,16 @@ def _parse_source(entry: Any, path: str) -> Source:
     if ("az_deg" in d) != ("range_m" in d):
         raise ConfigError(f"{path}: az_deg and range_m come as a pair")
     forms = [name for name in ("az_deg", "position", "farfield") if name in d]
-    try:
+    with _config_errors(f"{path}: "):
         if forms == ["az_deg"]:
             return source_from_az_range(d["az_deg"], d["range_m"], **extras)
         if forms == ["position"]:
             return Source.point(Vec3(*d["position"]), **extras)
         if forms == ["farfield"]:
             return Source.farfield(*d["farfield"], **extras)
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
     raise ConfigError(
         f"{path}: give exactly one of az_deg+range_m / position / farfield"
     )
-
-
-def _check_duration(comb: CombSpec, what: str) -> None:
-    try:
-        whole_periods(comb.duration_s, comb.delta_f_hz)
-    except ValueError as e:
-        raise ConfigError(f"{what}: {e}") from e
-
-
-def _check_tunable(comb: CombSpec, geometry: ArrayGeometry, sim: SimConfig,
-                   what: str = "") -> AxisCalibration:
-    """run_beamform's axis calibration for these settings; its ValueError for
-    an untunable array (see calibrate_axis) becomes a config error, and so
-    does a grid with fewer than N samples per envelope period, on which the
-    N tones share FFT bins."""
-    floor = comb.num_tones * whole_periods(comb.duration_s, comb.delta_f_hz)
-    if sim.grid_points < floor:
-        raise ConfigError(f"{what}sim.grid_points: {sim.grid_points} is below "
-                          f"num_tones * periods = {floor}")
-    try:
-        return calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
-                              sim.grid_points, sim.calibration_range_m)
-    except ValueError as e:
-        raise ConfigError(f"{what}{e}") from e
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -268,7 +251,9 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"invalid YAML: {e}") from e
     given = _section(data, "config")
     comb = _build(CombSpec, given.get("comb", {}), "comb")
-    _check_duration(comb, "comb.duration_s")
+    # the estimators check this too, but phase-map runs none
+    with _config_errors("comb.duration_s: "):
+        whole_periods(comb.duration_s, comb.delta_f_hz)
     geometry = _build(ArrayGeometry, given.get("array", {}), "array")
 
     sources = tuple(_parse_source(entry, f"sources[{i}]")
@@ -342,7 +327,8 @@ def write_csv_atomic(path: Path, header: Sequence[str],
 
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     map_source = _phase_map_source(config) if config.emit_phase_map else None
-    _check_tunable(config.comb, config.geometry, config.sim)
+    with _config_errors():
+        _check_tunable(config.geometry, config.comb, config.sim.grid_points)
     out = run_beamform(config.scene, config.geometry, config.comb, config.sim)
     u, azimuth_deg = out.u, out.azimuth_deg
     assert u is not None and azimuth_deg is not None
@@ -420,12 +406,10 @@ def _parse_sweep_values(param: str, raw: str) -> list:
     items = [s.strip() for s in raw.split(",") if s.strip()]
     if not items:
         raise ConfigError("--values must be a non-empty comma-separated list")
-    try:
+    with _config_errors("--values: "):
         if param == "num_tones":
             return [int(s) for s in items]
         return [float(s) for s in items]
-    except ValueError as e:
-        raise ConfigError(f"--values: {e}") from e
 
 
 def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
@@ -443,11 +427,11 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
         true_az = azimuth_of(base.position)
 
     # build every point before running any, so a bad value fails early
-    points, tunable = [], set()
+    points = []
     for value in values:
         comb, geometry, scene, sim = (config.comb, config.geometry,
                                       config.scene, config.sim)
-        try:
+        with _config_errors(f"--values: {param}={value!r}: "):
             if param == "range_m":
                 scene = Scene(sources=(source_from_az_range(
                     true_az, float(value), base.amplitude, base.phase_rad),))
@@ -459,13 +443,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
                 comb = replace(comb, delta_f_hz=float(value))
             elif param == "spacing_m":
                 geometry = replace(geometry, dx_m=float(value))
-        except ValueError as e:
-            raise ConfigError(f"--values: {param}={value!r}: {e}") from e
-        _check_duration(comb, f"--values: {param}={value!r} with "
-                              "comb.duration_s")
-        if (comb, geometry) not in tunable:    # once per array, not per range
-            _check_tunable(comb, geometry, sim, f"--values: {param}={value!r}: ")
-            tunable.add((comb, geometry))
+            _check_tunable(geometry, comb, sim.grid_points)
         points.append((value, comb, geometry, scene, sim))
 
     rows = [(value, *_sweep_step(scene, geometry, comb, sim, true_az,
@@ -481,7 +459,9 @@ _HELD_OUT_PROBES = (-0.8, -0.35, 0.15, 0.6)
 
 def cmd_calibrate(config: ScenarioConfig) -> None:
     comb, geometry, sim = config.comb, config.geometry, config.sim
-    cal = _check_tunable(comb, geometry, sim)
+    with _config_errors():
+        cal = calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
+                             sim.grid_points, sim.calibration_range_m)
     f_lo = sim.lo_for(comb)
     print(f"slope_sign={cal.slope_sign}")
     print(f"t0_s={cal.t0_s!r}")
@@ -533,20 +513,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = parse_config(Path(args.config).read_text())
         if args.grid_points is not None:
-            try:
+            with _config_errors("--grid-points: "):
                 config = replace(config,
                                  sim=replace(config.sim,
                                              grid_points=args.grid_points))
-            except ValueError as e:
-                raise ConfigError(f"--grid-points: {e}") from e
         if args.seed is not None:
             if config.sim.noise is None:
                 raise ConfigError("--seed: the scenario has no sim.noise "
                                   "to seed")
-            try:
+            with _config_errors("--seed: "):
                 noise = replace(config.sim.noise, seed=args.seed)
-            except ValueError as e:
-                raise ConfigError(f"--seed: {e}") from e
             config = replace(config, sim=replace(config.sim, noise=noise))
 
         if args.command == "calibrate":

@@ -21,7 +21,6 @@ from .geometry import (ArrayGeometry, Scene, Source, element_positions_array,
 from .propagation import PhaseSign, element_field, received_phase
 
 __all__ = [
-    "SteeringVector",
     "steering_vector",
     "scene_snapshot",
     "beamform_conventional",
@@ -34,27 +33,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-modulus steering weights for one look direction, shape (M, N)."""
-
-    weights: np.ndarray
-    u: float
-    v: float
-    wavelength_m: float
-
-
 def steering_vector(geometry: ArrayGeometry, u: float, v: float,
-                    wavelength_m: float) -> SteeringVector:
-    """a_mn = exp(−j·(2π/λ)·(m·dx·u + n·dy·v)), shape (M, N)."""
+                    wavelength_m: float) -> np.ndarray:
+    """Unit-modulus steering weights for one look direction,
+    a_mn = exp(−j·(2π/λ)·(m·dx·u + n·dy·v)), shape (M, N)."""
     uv_to_direction(u, v)    # raises outside the unit disk
     if not (math.isfinite(wavelength_m) and wavelength_m > 0):
         raise ValueError(f"wavelength_m must be > 0, got {wavelength_m!r}")
     m = np.arange(geometry.m)[:, None] * geometry.dx_m
     n = np.arange(geometry.n)[None, :] * geometry.dy_m
     phase = (-2.0 * math.pi / wavelength_m) * (m * u + n * v)
-    return SteeringVector(weights=np.exp(1j * phase), u=u, v=v,
-                          wavelength_m=wavelength_m)
+    return np.exp(1j * phase)
 
 
 def scene_snapshot(scene: Scene, geometry: ArrayGeometry,

@@ -19,6 +19,7 @@ from .propagation import (
     NoiseSpec,
     PhaseSign,
     PhasorSet,
+    _tuned_tones,
     scene_element_phasors,
     summed_noise,
 )
@@ -401,6 +402,28 @@ def probe_scene(u: float, range_m: float | None = None) -> Scene:
                                             range_m * uz)),))
 
 
+def _check_tunable(geometry: ArrayGeometry, comb: CombSpec,
+                   grid_points: int) -> None:
+    """ValueError, naming the field, unless the comb can estimate on this
+    array and grid: the array is one the comb can tune (_tuned_tones), the
+    comb has the 2 tones the axis calibration needs, duration_s is a whole
+    number of envelope periods, and the grid has at least N samples per
+    period (below that the tones share FFT bins and the envelope gives
+    wrong directions). Checked in that order; runs no propagation or FFT.
+    """
+    _tuned_tones(geometry, comb)
+    if comb.num_tones < 2:
+        raise ValueError("comb.num_tones: axis calibration needs >= 2 tones")
+    try:
+        periods = whole_periods(comb.duration_s, comb.delta_f_hz)
+    except ValueError as e:
+        raise ValueError(f"comb.duration_s: {e}") from e
+    floor = comb.num_tones * periods
+    if grid_points < floor:
+        raise ValueError(f"sim.grid_points: {grid_points} is below "
+                         f"num_tones * periods = {floor}")
+
+
 def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
                    sign: PhaseSign = PhaseSign.DELAY, grid_points: int = 4096,
                    reference_range_m: float | None = None) -> AxisCalibration:
@@ -416,19 +439,18 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
     Each probe's peak time is read by _peak_time: the refined largest
     sample of its FFT envelope on default_time_grid(comb, grid_points).
-    ValueError for an array the comb cannot tune, then for < 2 comb tones.
+    ValueError, naming the field, first for what _check_tunable rejects.
     """
-    def probe(u: float) -> PhasorSet:
-        return scene_element_phasors(probe_scene(u, reference_range_m),
-                                     geometry, comb, f_lo_hz, sign)
-
-    half = probe(0.5)    # an array the comb cannot tune fails here first
-    if comb.num_tones < 2:
-        raise ValueError("comb.num_tones: axis calibration needs >= 2 tones")
+    _check_tunable(geometry, comb, grid_points)
     grid = default_time_grid(comb, grid_points)
-    t0 = (0.0 if reference_range_m is None
-          else _peak_time(probe(0.0), grid) % comb.period_s)
-    t_half = _peak_time(half, grid)
+
+    def probe(u: float) -> float:
+        return _peak_time(scene_element_phasors(
+            probe_scene(u, reference_range_m), geometry, comb, f_lo_hz, sign),
+            grid)
+
+    t0 = 0.0 if reference_range_m is None else probe(0.0) % comb.period_s
+    t_half = probe(0.5)
     best_sign = min((-1, 1), key=lambda s: abs(
         float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
     return AxisCalibration(slope_sign=best_sign, t0_s=t0,

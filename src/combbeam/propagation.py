@@ -220,6 +220,19 @@ def element_field(scene: Scene, positions: np.ndarray, freq_hz,
     return field
 
 
+def _tuned_tones(geometry: ArrayGeometry, comb: CombSpec) -> np.ndarray:
+    """The 1-based comb tone of each element (see scene_element_phasors);
+    ValueError, naming the field, for an array the comb cannot tune."""
+    if geometry.kind != "linear":
+        raise ValueError("array.kind must be 'linear' for tone tuning, "
+                         f"got {geometry.kind!r}")
+    if geometry.m != comb.num_tones:
+        raise ValueError(f"array.m ({geometry.m}) must equal "
+                         f"comb.num_tones ({comb.num_tones})")
+    tones = np.arange(1, comb.num_tones + 1)
+    return tones[::-1] if geometry.tuning_order == "descending" else tones
+
+
 def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
                           comb: CombSpec, f_lo_hz: float,
                           sign: PhaseSign = PhaseSign.DELAY) -> PhasorSet:
@@ -233,15 +246,7 @@ def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
     received phase; contributions add coherently. ``f_lo_hz`` sets the
     post-mixer baseband frequency of each phasor (0 keeps RF).
     """
-    if geometry.kind != "linear":
-        raise ValueError("array.kind must be 'linear' for tone tuning, "
-                         f"got {geometry.kind!r}")
-    if geometry.m != comb.num_tones:
-        raise ValueError(f"array.m ({geometry.m}) must equal "
-                         f"comb.num_tones ({comb.num_tones})")
-    tones = np.arange(1, comb.num_tones + 1)
-    if geometry.tuning_order == "descending":
-        tones = tones[::-1]
+    tones = _tuned_tones(geometry, comb)
     freqs = comb.tone_frequencies[tones - 1]
     field = element_field(scene, element_positions_array(geometry), freqs, sign)
     return PhasorSet(comb.amplitude * field, tones, freqs - f_lo_hz, f_lo_hz,

@@ -20,8 +20,11 @@ from combbeam.cli import load_config_file, scenario_path
 from combbeam.conventional import beamform_conventional, scene_snapshot
 from combbeam.geometry import Scene, Source, linear_array
 from combbeam.kspace import (
+    BeamformOutput,
+    Peak,
     SimConfig,
     _quadratic_peak,
+    calibrate_axis,
     complex_field,
     default_time_grid,
     periodic_field,
@@ -158,6 +161,15 @@ def test_first_sidelobe_level(demo_comb, demo_geometry, demo_scene,
     out = run_beamform(demo_scene, demo_geometry, demo_comb, demo_config)
     level = first_sidelobe_db(out, out.peaks[0])
     assert -13.5 < level < -12.9
+
+
+def test_first_sidelobe_walks_past_a_plateau_on_the_rising_flank():
+    # after the first null (index 2) the flank rises 3, 3, 6: the sidelobe
+    # is the 6, not the plateau; the other side's sidelobe is the 4
+    env = np.array([10, 5, 1, 3, 3, 6, 2, 1, 1, 1, 1, 2, 4, 1, 6], dtype=float)
+    out = BeamformOutput(time_s=np.arange(env.size) * 1e-7, envelope=env)
+    peak = Peak(time_s=0.0, u=0.0, azimuth_deg=0.0, magnitude=10.0)
+    assert first_sidelobe_db(out, peak) == pytest.approx(20 * math.log10(0.6))
 
 
 def test_compare_methods_near_field(demo_comb, demo_geometry, demo_scene,
@@ -337,3 +349,35 @@ def test_snr_gain_draws_each_trial_once(monkeypatch, demo_comb,
     snr_gain(demo_scene, demo_geometry, demo_comb, 1.0, trials=7,
              config=demo_config)
     assert calls == list(range(7))
+
+
+_ESTIMATORS = {
+    "run_beamform": lambda c, sim: run_beamform(c.scene, c.geometry, c.comb,
+                                                sim),
+    "calibrate_axis": lambda c, sim: calibrate_axis(
+        c.geometry, c.comb, sim.lo_for(c.comb), sim.phase_sign,
+        sim.grid_points, sim.calibration_range_m),
+    "compare_methods": lambda c, sim: compare_methods(c.scene, c.geometry,
+                                                      c.comb, sim),
+    "peak_time_report": lambda c, sim: peak_time_report(c.scene, c.geometry,
+                                                        c.comb, sim),
+    "nearfield_error_sweep": lambda c, sim: nearfield_error_sweep(
+        -45.0, [8.4853], c.geometry, c.comb, sim),
+}
+
+
+@pytest.mark.parametrize("name", _ESTIMATORS)
+def test_estimators_reject_a_grid_below_the_tone_floor(name):
+    # 16 points for 21 tones: run_beamform once returned -49.16 deg for the
+    # -45 deg source with no error, while the CLI rejected the same grid
+    cfg = load_config_file(scenario_path("single_source"))
+    with pytest.raises(ValueError, match=r"^sim\.grid_points: 16 is below "
+                                         r"num_tones \* periods = 21"):
+        _ESTIMATORS[name](cfg, replace(cfg.sim, grid_points=16))
+
+
+def test_run_beamform_rejects_a_partial_period_comb():
+    cfg = load_config_file(scenario_path("single_source"))
+    comb = replace(cfg.comb, duration_s=7.3e-6)    # 1.46 periods
+    with pytest.raises(ValueError, match=r"^comb\.duration_s: .*1\.46"):
+        run_beamform(cfg.scene, cfg.geometry, comb, cfg.sim)

@@ -521,6 +521,31 @@ def test_untunable_array_is_a_config_error(tmp_path, capsys, args, name,
     assert not list(tmp_path.glob("out/*.csv"))
 
 
+@pytest.mark.parametrize("args, calls", [
+    (["simulate"], 1),
+    (["sweep", "--param", "range_m", "--values", "2,8,32"], 3),
+    (["calibrate"], 1),
+])
+def test_each_command_calibrates_once_per_estimate(tmp_path, monkeypatch,
+                                                   args, calls):
+    # simulate once ran a second calibration only to validate the array,
+    # and a range sweep one more than its points
+    from combbeam import cli, kspace
+
+    calibrate = kspace.calibrate_axis
+    count = []
+
+    def counted(*a, **kw):
+        count.append(a)
+        return calibrate(*a, **kw)
+
+    monkeypatch.setattr(kspace, "calibrate_axis", counted)
+    monkeypatch.setattr(cli, "calibrate_axis", counted)
+    assert main([args[0], "--config", str(scenario_path("single_source")),
+                 "--out", str(tmp_path), *args[1:]]) == 0
+    assert len(count) == calls
+
+
 def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):
     text = scenario_path("three_sources").read_text().replace(
         "output: {}", "output: {emit_rf: true}")

@@ -1,6 +1,6 @@
 """The scenario schema table in combbeam.cli: the module docstring documents
-exactly its keys, and documents drawn from it run through the CLI without a
-runtime error."""
+exactly its keys, documents drawn from it run through the CLI without a
+runtime error, and the tunability gate passes only what calibrates."""
 
 import contextlib
 import io
@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from combbeam import cli
 from combbeam.geometry import ArrayGeometry
-from combbeam.kspace import SimConfig
+from combbeam.kspace import (AxisCalibration, SimConfig, _check_tunable,
+                             calibrate_axis)
 from combbeam.propagation import NoiseSpec
 from combbeam.waveform import CombSpec
 
@@ -152,3 +153,23 @@ def test_drawn_documents_exit_0_or_name_a_field(doc):
                 named = _named(message)
                 assert named in PATHS | set(cli._SCHEMA) or \
                     named.startswith("--"), message
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=documents())
+def test_the_tunability_gate_is_complete(doc):
+    # the gate runs no calibration, so what it passes must calibrate, and
+    # what it rejects it must name
+    try:
+        config = cli.parse_config(yaml.safe_dump(doc))
+    except cli.ConfigError:
+        return
+    comb, geometry, sim = config.comb, config.geometry, config.sim
+    try:
+        _check_tunable(geometry, comb, sim.grid_points)
+    except ValueError as e:
+        assert _named(str(e)) in PATHS, str(e)
+        return
+    cal = calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
+                         sim.grid_points, sim.calibration_range_m)
+    assert isinstance(cal, AxisCalibration)
