@@ -24,8 +24,8 @@ from .kspace import (
     SimConfig,
     _local_peaks,
     _nearest_index,
-    _peak_time,
     _quadratic_peak,
+    _scene_peak_times,
     _sweep_step,
     _thin_peaks,
     calibrate_axis,
@@ -314,8 +314,8 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
                          config.grid_points, config.calibration_range_m)
     grid = default_time_grid(comb, config.grid_points)
-    times = {s: _peak_time(scene_element_phasors(scene, geometry, comb, f_lo,
-                                                 s), grid) % comb.period_s
+    times = {s: float(_scene_peak_times((scene,), geometry, comb, f_lo, s,
+                                        grid)[0]) % comb.period_s
              for s in (PhaseSign.DELAY, PhaseSign.ADVANCE)}
     u = float(time_to_u(cal, times[PhaseSign.DELAY]))
     return PeakTimeReport(

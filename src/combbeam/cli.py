@@ -90,7 +90,7 @@ from .geometry import (
 from .kspace import (
     SimConfig,
     _check_tunable,
-    _peak_time,
+    _scene_peak_times,
     _sweep_step,
     beamform_rf,
     calibrate_axis,
@@ -466,11 +466,11 @@ def cmd_calibrate(config: ScenarioConfig) -> None:
     print(f"slope_sign={cal.slope_sign}")
     print(f"t0_s={cal.t0_s!r}")
     print(f"delta_f_hz={cal.delta_f_hz!r}")
-    grid = default_time_grid(comb, sim.grid_points)
-    for u in _HELD_OUT_PROBES:
-        phasors = scene_element_phasors(probe_scene(u, sim.calibration_range_m),
-                                        geometry, comb, f_lo, sim.phase_sign)
-        u_est = time_to_u(cal, _peak_time(phasors, grid))
+    times = _scene_peak_times(
+        [probe_scene(u, sim.calibration_range_m) for u in _HELD_OUT_PROBES],
+        geometry, comb, f_lo, sim.phase_sign,
+        default_time_grid(comb, sim.grid_points))
+    for u, u_est in zip(_HELD_OUT_PROBES, time_to_u(cal, times).tolist()):
         print(f"probe u={u!r}: estimated_u={u_est!r} residual={u_est - u!r}")
 
 

@@ -200,11 +200,10 @@ def planar_array(m: int, n: int, dx_m: float, dy_m: float,
 
 def element_positions_array(geometry: ArrayGeometry) -> np.ndarray:
     """(num_elements, 3) element coordinates, row-major (m outer, n inner)."""
-    mm, nn = np.meshgrid(np.arange(geometry.m), np.arange(geometry.n),
-                         indexing="ij")
+    m, n = geometry.m, geometry.n
     out = np.empty((geometry.num_elements, 3), dtype=float)
-    out[:, 0] = geometry.origin.x + mm.ravel() * geometry.dx_m
-    out[:, 1] = geometry.origin.y + nn.ravel() * geometry.dy_m
+    out[:, 0] = geometry.origin.x + np.arange(m).repeat(n) * geometry.dx_m
+    out[:, 1] = geometry.origin.y + np.tile(np.arange(n), m) * geometry.dy_m
     out[:, 2] = geometry.origin.z
     return out
 

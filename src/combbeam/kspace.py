@@ -19,8 +19,8 @@ from .propagation import (
     NoiseSpec,
     PhaseSign,
     PhasorSet,
+    _phasor_stack,
     _tuned_tones,
-    scene_element_phasors,
     summed_noise,
 )
 from .waveform import CombSpec
@@ -135,10 +135,11 @@ def whole_periods(span_s: float, delta_f_hz: float) -> int:
 _ROW_POINTS = 4096
 
 
-def _baseband_field(phasors: PhasorSet, time_s):
-    """(t, field, ν_min) on a uniform grid of whole envelope periods:
-    field is an (L, R) array whose ravel is Σ_e a_e·exp(j2π(ν_e − ν_min)t),
-    periodic_field without its unit-modulus carrier exp(j2π·ν_min·t).
+def _baseband_field(phasors: PhasorSet, time_s, amplitudes=None):
+    """(t, fields, ν_min) on a uniform grid of whole envelope periods:
+    for each row of the (K, E) ``amplitudes`` (default: the phasors' own),
+    in order, the iterator fields yields an (L, R) array whose ravel is
+    Σ_e a_e·exp(j2π(ν_e − ν_min)t), periodic_field without its carrier.
 
     The tones sit on the Δf lattice, ν_e = ν_min + m_e·Δf. On the grid
     t_k = t_0 + k·dt (G points spanning P = Δf·G·dt whole periods)
@@ -149,10 +150,12 @@ def _baseband_field(phasors: PhasorSet, time_s):
     Σ_e c_e·exp(j2π·b_e·r/G)·exp(j2π·(b_e mod L)·q/L), so row r holds
     each c_e times its exact twiddle exp(j2π·((b_e·r) mod G)/G) in column
     b_e mod L, and one in-place L-point inverse FFT per row gives samples
-    r, r + R, r + 2R, ... R is the largest power of two that leaves
-    L >= _ROW_POINTS, so R = 1 (one G-point transform, every twiddle
-    exactly 1) for G < 8192, for odd G and so on the default 4096-point
-    grid.
+    r, r + R, r + 2R, ... (R = 1, every twiddle exactly 1, below 8192
+    points, for odd G and so on the default grid; see _ROW_POINTS).
+    The K fields share checks, bins and twiddles and are transformed in
+    turn in one reused (R, L) block, so a field is valid only until the
+    next is drawn. K fields then take one field's memory: a (K, R, L)
+    array made 16384-point estimates fault in fresh pages on every call.
     Raises ValueError for a grid that is not uniform, does not span whole
     periods, or tones off the Δf lattice.
     """
@@ -170,7 +173,9 @@ def _baseband_field(phasors: PhasorSet, time_s):
     if np.abs(off, out=off).max() > 1e-9 * g * dt:
         raise ValueError("time grid is not uniform")
     periods = whole_periods(g * dt, phasors.delta_f_hz)
-    amps, nu = phasors.amplitudes, phasors.baseband_hz
+    if amplitudes is None:
+        amplitudes = phasors.amplitudes[None]
+    nu = phasors.baseband_hz
     nu_min = float(nu.min())
     steps = (nu - nu_min) / phasors.delta_f_hz
     m = np.rint(steps)
@@ -182,28 +187,33 @@ def _baseband_field(phasors: PhasorSet, time_s):
     cols = g // rows
     b = (m.astype(np.int64) * periods) % g
     r = np.arange(rows)[:, None]
-    a = np.zeros((rows, cols), dtype=complex)
-    np.add.at(a, (r, b % cols),
-              amps * _turns((nu - nu_min) * t[0]) * _turns(b * r % g / g))
-    np.fft.ifft(a, axis=1, norm="forward", out=a)
-    return t, a.T, nu_min
+    coef = (amplitudes[:, None, :] * _turns((nu - nu_min) * t[0])
+            * _turns(b * r % g / g))
+
+    def fields():
+        a = np.empty((rows, cols), dtype=complex)
+        for c in coef:
+            a.fill(0.0)
+            np.add.at(a, (r, b % cols), c)
+            np.fft.ifft(a, axis=1, norm="forward", out=a)
+            yield a.T
+
+    return t, fields(), nu_min
 
 
 def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     """Σ_e a_e·exp(j2πν_e t) on a uniform grid of whole envelope periods,
-    by one inverse FFT split into rows (see _baseband_field; one row, the
-    plain G-point transform, below 8192 points and so at the default grid).
+    by the inverse FFT of _baseband_field.
 
     The FFT gives the sum relative to the lowest tone, and the common
     factor exp(j2π·ν_min·t_k), multiplied into the raveled rows in place,
     restores the absolute phase. Agrees with complex_field to rounding.
     This complex value serves the RF trace and the noisy envelope;
-    noiseless envelope and peak reads take _periodic_envelope, its modulus
-    without the carrier. Raises ValueError for a grid that is not uniform,
-    does not span whole periods, or tones off the Δf lattice.
+    noiseless envelope and peak reads take the modulus without the
+    carrier (_modulus). Raises the ValueErrors of _baseband_field.
     """
-    t, field, nu_min = _baseband_field(phasors, time_s)
-    field = field.ravel()
+    t, fields, nu_min = _baseband_field(phasors, time_s)
+    field = next(fields).ravel()
     field *= _turns(nu_min * t)
     return field
 
@@ -211,7 +221,11 @@ def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
 def _periodic_envelope(phasors: PhasorSet, time_s) -> np.ndarray:
     """|periodic_field|, read without its unit-modulus carrier: equal to it
     to rounding, and independent of the mixer LO."""
-    field = _baseband_field(phasors, time_s)[1]
+    return _modulus(next(_baseband_field(phasors, time_s)[1]))
+
+
+def _modulus(field: np.ndarray) -> np.ndarray:
+    """The (G,) modulus of one field of _baseband_field, in sample order."""
     return np.abs(field, out=np.empty(field.shape)).ravel()
 
 
@@ -311,21 +325,36 @@ def _quadratic_peak(ym1, y0, yp1):
     return p, y0 - 0.25 * (ym1 - yp1) * p
 
 
-def _refine_peak(env: np.ndarray, time_s: np.ndarray, i):
-    """Quadratic-vertex time and height of the envelope peak at sample
-    index (or index array) i; the grid spans whole periods, so neighbours
-    and time wrap around."""
-    n = env.size
-    p, height = _quadratic_peak(env[(i - 1) % n], env[i], env[(i + 1) % n])
+def _refine_peak(env: np.ndarray, time_s: np.ndarray, i: np.ndarray):
+    """Quadratic-vertex times and heights of the envelope peaks at sample
+    index array i: of a 1-D envelope, or one index per row of a (K, G)
+    stack. The grid spans whole periods, so neighbours and time wrap
+    around."""
+    n = env.shape[-1]
+    row = (np.arange(len(env)),) if env.ndim == 2 else ()
+    p, height = _quadratic_peak(env[(*row, (i - 1) % n)], env[(*row, i)],
+                                env[(*row, (i + 1) % n)])
     dt = float(time_s[1] - time_s[0])
     return (float(time_s[0]) + (i + p) * dt) % (n * dt), height
 
 
-def _peak_time(phasors: PhasorSet, time_s: np.ndarray) -> float:
-    """Refined time of the largest sample of the noiseless FFT envelope,
-    read off its modulus (_periodic_envelope), never the complex field."""
-    env = _periodic_envelope(phasors, time_s)
-    return float(_refine_peak(env, time_s, int(np.argmax(env)))[0])
+def _peak_times(fields, time_s: np.ndarray, count: int) -> np.ndarray:
+    """Refined time of the largest sample of the modulus of each of the
+    next ``count`` fields of _baseband_field, by one _refine_peak."""
+    env = np.empty((count, time_s.size))
+    for row, field in zip(env, fields):
+        np.abs(field, out=row.reshape(field.shape))
+    return _refine_peak(env, time_s, env.argmax(axis=1))[0]
+
+
+def _scene_peak_times(scenes, geometry: ArrayGeometry, comb: CombSpec,
+                      f_lo_hz: float, sign: PhaseSign,
+                      time_s: np.ndarray) -> np.ndarray:
+    """_peak_times of K scenes' noiseless envelopes (the modulus, never the
+    complex field), propagated and synthesized together."""
+    phasors, amps = _phasor_stack(scenes, geometry, comb, f_lo_hz, sign)
+    fields = _baseband_field(phasors, time_s, amps)[1]
+    return _peak_times(fields, time_s, len(amps))
 
 
 def _thin_peaks(u: np.ndarray, height: np.ndarray, min_separation_u: float,
@@ -424,6 +453,25 @@ def _check_tunable(geometry: ArrayGeometry, comb: CombSpec,
                          f"num_tones * periods = {floor}")
 
 
+def _calibration_probes(reference_range_m: float | None) -> tuple[Scene, ...]:
+    """calibrate_axis's probes: u = 0.5, after u = 0 for point sources (a
+    boresight plane wave's peak time is known in closed form)."""
+    us = (0.5,) if reference_range_m is None else (0.0, 0.5)
+    return tuple(probe_scene(u, reference_range_m) for u in us)
+
+
+def _fit_calibration(comb: CombSpec, probe_times,
+                     reference_range_m: float | None) -> AxisCalibration:
+    """The axis fit from the refined peak times of _calibration_probes."""
+    t0 = (0.0 if reference_range_m is None
+          else float(probe_times[0]) % comb.period_s)
+    t_half = float(probe_times[-1])
+    best_sign = min((-1, 1), key=lambda s: abs(
+        float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
+    return AxisCalibration(slope_sign=best_sign, t0_s=t0,
+                           delta_f_hz=comb.delta_f_hz)
+
+
 def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
                    sign: PhaseSign = PhaseSign.DELAY, grid_points: int = 4096,
                    reference_range_m: float | None = None) -> AxisCalibration:
@@ -437,24 +485,15 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     matters. A boresight plane wave reaches every element in phase and the
     tones are consecutive, so its envelope peaks exactly at t ≡ 0 mod 1/Δf:
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
-    Each probe's peak time is read by _peak_time: the refined largest
-    sample of its FFT envelope on default_time_grid(comb, grid_points).
+    The probes' peak times are read together by _scene_peak_times on
+    default_time_grid(comb, grid_points); run_beamform shares the fit.
     ValueError, naming the field, first for what _check_tunable rejects.
     """
     _check_tunable(geometry, comb, grid_points)
     grid = default_time_grid(comb, grid_points)
-
-    def probe(u: float) -> float:
-        return _peak_time(scene_element_phasors(
-            probe_scene(u, reference_range_m), geometry, comb, f_lo_hz, sign),
-            grid)
-
-    t0 = 0.0 if reference_range_m is None else probe(0.0) % comb.period_s
-    t_half = probe(0.5)
-    best_sign = min((-1, 1), key=lambda s: abs(
-        float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
-    return AxisCalibration(slope_sign=best_sign, t0_s=t0,
-                           delta_f_hz=comb.delta_f_hz)
+    times = _scene_peak_times(_calibration_probes(reference_range_m),
+                              geometry, comb, f_lo_hz, sign, grid)
+    return _fit_calibration(comb, times, reference_range_m)
 
 
 @dataclass(frozen=True)
@@ -506,15 +545,27 @@ class SimConfig:
 
 def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                  config: SimConfig = SimConfig()) -> BeamformOutput:
-    """Full pipeline: tune, propagate, calibrate, beamform, find peaks."""
+    """Full pipeline: tune, propagate, calibrate, beamform, find peaks.
+
+    calibrate_axis's probes, then the scene, are propagated and (without
+    noise, which needs beamform_envelope's complex field) synthesized by
+    one call; the probe peaks are refined together.
+    """
     f_lo = config.lo_for(comb)
-    phasors = scene_element_phasors(scene, geometry, comb, f_lo,
-                                    config.phase_sign)
-    calibration = calibrate_axis(geometry, comb, f_lo, config.phase_sign,
-                                 config.grid_points,
-                                 config.calibration_range_m)
-    out = beamform_envelope(phasors, default_time_grid(comb, config.grid_points),
-                            config.noise)
+    probes = _calibration_probes(config.calibration_range_m)
+    phasors, amps = _phasor_stack((*probes, scene), geometry, comb, f_lo,
+                                  config.phase_sign)
+    _check_tunable(geometry, comb, config.grid_points)
+    grid = default_time_grid(comb, config.grid_points)
+    noisy = config.noise is not None and config.noise.sigma > 0
+    fields = _baseband_field(phasors, grid, amps[:-1] if noisy else amps)[1]
+    times = _peak_times(fields, grid, len(probes))
+    calibration = _fit_calibration(comb, times, config.calibration_range_m)
+    if noisy:
+        out = beamform_envelope(phasors, grid, config.noise)
+    else:
+        out = BeamformOutput(time_s=grid, envelope=_modulus(next(fields)),
+                             phasors=phasors)
     out.calibration = calibration
     out.peaks = find_peaks(out, config.threshold_fraction,
                            config.min_separation_for(comb))

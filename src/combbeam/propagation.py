@@ -161,7 +161,12 @@ def complex_noise(spec: NoiseSpec, num_elements: int, num_samples: int,
         return np.zeros((num_elements, num_samples), dtype=complex)
     rng = np.random.default_rng((spec.seed, trial))
     g = rng.standard_normal((2, num_elements, num_samples))
-    return spec.sigma / math.sqrt(2.0) * (g[0] + 1j * g[1])
+    # σ/√2·(g[0] + 1j·g[1]), written part by part with no complex temporaries
+    w = np.empty((num_elements, num_samples), dtype=complex)
+    scale = spec.sigma / math.sqrt(2.0)
+    np.multiply(scale, g[0], out=w.real)
+    np.multiply(scale, g[1], out=w.imag)
+    return w
 
 
 def summed_noise(spec: NoiseSpec, num_elements: int, num_samples: int,
@@ -246,8 +251,19 @@ def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
     received phase; contributions add coherently. ``f_lo_hz`` sets the
     post-mixer baseband frequency of each phasor (0 keeps RF).
     """
+    return _phasor_stack((scene,), geometry, comb, f_lo_hz, sign)[0]
+
+
+def _phasor_stack(scenes, geometry: ArrayGeometry, comb: CombSpec,
+                  f_lo_hz: float,
+                  sign: PhaseSign) -> tuple[PhasorSet, np.ndarray]:
+    """scene_element_phasors for K scenes on the array tuned once: the last
+    scene's PhasorSet, whose tones and baseband_hz every scene shares, and
+    the (K, E) element amplitudes of all K scenes."""
     tones = _tuned_tones(geometry, comb)
     freqs = comb.tone_frequencies[tones - 1]
-    field = element_field(scene, element_positions_array(geometry), freqs, sign)
-    return PhasorSet(comb.amplitude * field, tones, freqs - f_lo_hz, f_lo_hz,
-                     comb.delta_f_hz)
+    positions = element_positions_array(geometry)
+    amps = comb.amplitude * np.array(
+        [element_field(scene, positions, freqs, sign) for scene in scenes])
+    return PhasorSet(amps[-1], tones, freqs - f_lo_hz, f_lo_hz,
+                     comb.delta_f_hz), amps

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
-from combbeam.geometry import Scene, Source, Vec3, linear_array, planar_array
+from combbeam.geometry import (Scene, Source, Vec3, linear_array, planar_array,
+                               source_from_az_range)
 from combbeam.kspace import (
     AxisCalibration,
     SimConfig,
@@ -24,8 +25,9 @@ from combbeam.kspace import (
     u_to_azimuth,
     wrap_unit,
 )
-from combbeam.propagation import PhaseSign, PhasorSet, scene_element_phasors
-from combbeam.waveform import CombSpec
+from combbeam.propagation import (NoiseSpec, PhaseSign, PhasorSet,
+                                  scene_element_phasors)
+from combbeam.waveform import SPEED_OF_LIGHT, CombSpec
 
 from conftest import D21
 
@@ -458,3 +460,58 @@ def test_complex_field_rejects_empty_grid(demo_comb, demo_geometry,
     ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
     with pytest.raises(ValueError):
         complex_field(ps, np.array([]))
+
+
+@st.composite
+def _estimates(draw):
+    """A scene on a tuned line and a SimConfig: far-field or point sources,
+    either tuning order and sign, calibration probes at a range or not,
+    4096 or 16384 points (the row split) or an odd grid above the floor,
+    with noise on some."""
+    n = draw(st.integers(2, 24))
+    periods = draw(st.integers(1, 3))
+    comb = CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=n,
+                    duration_s=periods / 0.2e6)
+    top = comb.f0_hz + n * comb.delta_f_hz
+    geom = linear_array(n, SPEED_OF_LIGHT / top / 2.0, tuning_order=draw(
+        st.sampled_from(["ascending", "descending"])))
+    azimuths = draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=3))
+    amps = [draw(st.floats(0.2, 2.0)) for _ in azimuths]
+    if draw(st.booleans()):
+        scene = Scene(sources=tuple(
+            Source.farfield(math.sin(math.radians(az)), 0.0, amplitude=a)
+            for az, a in zip(azimuths, amps)), model="far-field")
+    else:
+        scene = Scene(sources=tuple(
+            source_from_az_range(az, draw(st.floats(1.0, 50.0)), amplitude=a)
+            for az, a in zip(azimuths, amps)))
+    odd = draw(st.integers(n * periods // 2, 1500)) * 2 + 1
+    noise = draw(st.none() | st.builds(NoiseSpec, st.floats(0.05, 1.0),
+                                       st.integers(0, 1000)))
+    config = SimConfig(
+        grid_points=draw(st.sampled_from([4096, 16384, odd])),
+        lo_hz=19.0e9, phase_sign=draw(st.sampled_from(list(PhaseSign))),
+        noise=noise, threshold_fraction=0.3,
+        calibration_range_m=draw(st.none() | st.floats(1.0, 30.0)))
+    return scene, geom, comb, config
+
+
+@given(_estimates())
+@settings(max_examples=60, deadline=None)
+def test_run_beamform_equals_its_stages_run_separately(estimate):
+    scene, geom, comb, config = estimate
+    got = run_beamform(scene, geom, comb, config)
+    f_lo = config.lo_for(comb)
+    ps = scene_element_phasors(scene, geom, comb, f_lo, config.phase_sign)
+    want = beamform_envelope(ps, default_time_grid(comb, config.grid_points),
+                             config.noise)
+    want.calibration = calibrate_axis(geom, comb, f_lo, config.phase_sign,
+                                      config.grid_points,
+                                      config.calibration_range_m)
+    want.peaks = find_peaks(want, config.threshold_fraction,
+                            config.min_separation_for(comb))
+    assert got.time_s.tobytes() == want.time_s.tobytes()
+    assert got.envelope.tobytes() == want.envelope.tobytes()
+    assert got.phasors.amplitudes.tobytes() == ps.amplitudes.tobytes()
+    assert got.calibration == want.calibration
+    assert got.peaks == want.peaks

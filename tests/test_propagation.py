@@ -230,6 +230,16 @@ def test_noise_is_deterministic_per_seed_and_trial():
     assert a.shape == (4, 64)
 
 
+@pytest.mark.parametrize("seed, trial, sigma", [
+    (0, 0, 1.0), (42, 3, 0.5), (7, 11, 3.7), (123, 0, 1e-3), (5, 2, 250.0)])
+def test_noise_equals_the_complex_expression_bit_for_bit(seed, trial, sigma):
+    w = complex_noise(NoiseSpec(sigma=sigma, seed=seed), 3, 257, trial)
+    g = np.random.default_rng((seed, trial)).standard_normal((2, 3, 257))
+    want = sigma / math.sqrt(2.0) * (g[0] + 1j * g[1])
+    # as integers, so that a signed zero or a last-bit change would show
+    np.testing.assert_array_equal(w.view(np.uint64), want.view(np.uint64))
+
+
 def test_noise_power_matches_sigma():
     spec = NoiseSpec(sigma=1.3, seed=0)
     w = complex_noise(spec, 16, 4096)
