@@ -22,13 +22,14 @@ from .kspace import (
     BeamformOutput,
     Peak,
     SimConfig,
+    _baseband_field,
+    _calibrated,
     _local_peaks,
     _nearest_index,
+    _peak_times,
     _quadratic_peak,
-    _scene_peak_times,
     _sweep_step,
     _thin_peaks,
-    calibrate_axis,
     complex_field,
     default_time_grid,
     peak_width_u,
@@ -307,20 +308,23 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
 
     Each sign's peak time is the quadratic-vertex refinement of the largest
     sample of the FFT envelope on default_time_grid(comb,
-    config.grid_points), reduced modulo the period 1/Δf. brute_force_peak
-    is the dense oracle it is tested against.
+    config.grid_points), reduced modulo the period 1/Δf. The delay scene
+    shares the calibration's synthesis (kspace._calibrated).
+    brute_force_peak is the dense oracle it is tested against.
     """
     f_lo = config.lo_for(comb)
-    cal = calibrate_axis(geometry, comb, f_lo, PhaseSign.DELAY,
-                         config.grid_points, config.calibration_range_m)
-    grid = default_time_grid(comb, config.grid_points)
-    times = {s: float(_scene_peak_times((scene,), geometry, comb, f_lo, s,
-                                        grid)[0]) % comb.period_s
-             for s in (PhaseSign.DELAY, PhaseSign.ADVANCE)}
-    u = float(time_to_u(cal, times[PhaseSign.DELAY]))
+    cal, _, (grid, fields, _) = _calibrated(
+        (scene,), geometry, comb, f_lo, PhaseSign.DELAY, config.grid_points,
+        config.calibration_range_m)
+    # the advance sign needs its own propagation: the probes are delayed
+    advance = scene_element_phasors(scene, geometry, comb, f_lo,
+                                    PhaseSign.ADVANCE)
+    delay_t, advance_t = (float(_peak_times(f, grid, 1)[0]) % comb.period_s
+                          for f in (fields, _baseband_field(advance, grid)[1]))
+    u = float(time_to_u(cal, delay_t))
     return PeakTimeReport(
-        delay_peak_time_s=times[PhaseSign.DELAY],
-        advance_peak_time_s=times[PhaseSign.ADVANCE],
+        delay_peak_time_s=delay_t,
+        advance_peak_time_s=advance_t,
         u_estimate=u,
         azimuth_deg=u_to_azimuth(u),
         linear_axis_peak_time_s=(1.0 + u) / (2.0 * comb.delta_f_hz),

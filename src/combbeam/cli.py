@@ -89,12 +89,11 @@ from .geometry import (
 )
 from .kspace import (
     SimConfig,
+    _calibrated,
     _check_tunable,
-    _scene_peak_times,
+    _peak_times,
     _sweep_step,
     beamform_rf,
-    calibrate_axis,
-    default_time_grid,
     probe_scene,
     run_beamform,
     time_to_u,
@@ -459,17 +458,16 @@ _HELD_OUT_PROBES = (-0.8, -0.35, 0.15, 0.6)
 
 def cmd_calibrate(config: ScenarioConfig) -> None:
     comb, geometry, sim = config.comb, config.geometry, config.sim
+    held_out = [probe_scene(u, sim.calibration_range_m)
+                for u in _HELD_OUT_PROBES]
     with _config_errors():
-        cal = calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
-                             sim.grid_points, sim.calibration_range_m)
-    f_lo = sim.lo_for(comb)
+        cal, _, (grid, fields, _) = _calibrated(
+            held_out, geometry, comb, sim.lo_for(comb), sim.phase_sign,
+            sim.grid_points, sim.calibration_range_m)
+    times = _peak_times(fields, grid, len(held_out))
     print(f"slope_sign={cal.slope_sign}")
     print(f"t0_s={cal.t0_s!r}")
     print(f"delta_f_hz={cal.delta_f_hz!r}")
-    times = _scene_peak_times(
-        [probe_scene(u, sim.calibration_range_m) for u in _HELD_OUT_PROBES],
-        geometry, comb, f_lo, sim.phase_sign,
-        default_time_grid(comb, sim.grid_points))
     for u, u_est in zip(_HELD_OUT_PROBES, time_to_u(cal, times).tolist()):
         print(f"probe u={u!r}: estimated_u={u_est!r} residual={u_est - u!r}")
 

@@ -201,31 +201,37 @@ def _baseband_field(phasors: PhasorSet, time_s, amplitudes=None):
     return t, fields(), nu_min
 
 
+def _carried(field: np.ndarray, t: np.ndarray, nu_min: float) -> np.ndarray:
+    """One field of _baseband_field in sample order, times (in place where
+    it can) the unit-modulus mixer carrier exp(j2π·ν_min·t)."""
+    field = field.ravel()
+    field *= _turns(nu_min * t)
+    return field
+
+
 def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     """Σ_e a_e·exp(j2πν_e t) on a uniform grid of whole envelope periods,
     by the inverse FFT of _baseband_field.
 
     The FFT gives the sum relative to the lowest tone, and the common
-    factor exp(j2π·ν_min·t_k), multiplied into the raveled rows in place,
+    factor exp(j2π·ν_min·t_k) (_carried, as in the noisy _envelope)
     restores the absolute phase. Agrees with complex_field to rounding.
-    This complex value serves the RF trace and the noisy envelope;
-    noiseless envelope and peak reads take the modulus without the
-    carrier (_modulus). Raises the ValueErrors of _baseband_field.
+    It serves the RF trace and snr_gain. Raises the ValueErrors of
+    _baseband_field.
     """
     t, fields, nu_min = _baseband_field(phasors, time_s)
-    field = next(fields).ravel()
-    field *= _turns(nu_min * t)
-    return field
+    return _carried(next(fields), t, nu_min)
 
 
-def _periodic_envelope(phasors: PhasorSet, time_s) -> np.ndarray:
-    """|periodic_field|, read without its unit-modulus carrier: equal to it
-    to rounding, and independent of the mixer LO."""
-    return _modulus(next(_baseband_field(phasors, time_s)[1]))
-
-
-def _modulus(field: np.ndarray) -> np.ndarray:
-    """The (G,) modulus of one field of _baseband_field, in sample order."""
+def _envelope(field: np.ndarray, t: np.ndarray, nu_min: float,
+              num_elements: int, noise: NoiseSpec | None,
+              trial: int) -> np.ndarray:
+    """The (G,) envelope of one field of _baseband_field: its modulus,
+    without the carrier the modulus discards, or with ``noise``
+    |_carried(field) + summed_noise for (noise.seed, trial)|."""
+    if noise is not None and noise.sigma > 0:
+        return np.abs(_carried(field, t, nu_min)
+                      + summed_noise(noise, num_elements, t.size, trial))
     return np.abs(field, out=np.empty(field.shape)).ravel()
 
 
@@ -276,17 +282,12 @@ def beamform_envelope(phasors: PhasorSet, time_s,
     (see periodic_field); the envelope repeats with that period, so the
     samples wrap around. With ``noise``, w is the element-summed noise
     drawn by summed_noise for (noise.seed, trial): one CN(0, E·sigma²)
-    sample per time sample, added to the complex periodic_field. Without
-    noise the envelope is _periodic_envelope, the modulus read without the
-    unit-modulus mixer carrier, so it is independent of the common mixer
-    LO: only tone differences enter |·|.
+    sample per time sample. run_beamform reads its envelope by the same
+    _envelope. Without noise no carrier is applied, so the envelope is
+    independent of the common mixer LO: only tone differences enter |·|.
     """
-    t = np.asarray(time_s, dtype=float)
-    if noise is not None and noise.sigma > 0:
-        env = np.abs(periodic_field(phasors, t)
-                     + summed_noise(noise, len(phasors), t.size, trial))
-    else:
-        env = _periodic_envelope(phasors, t)
+    t, fields, nu_min = _baseband_field(phasors, time_s)
+    env = _envelope(next(fields), t, nu_min, len(phasors), noise, trial)
     return BeamformOutput(time_s=t, envelope=env, phasors=phasors)
 
 
@@ -317,7 +318,9 @@ def _local_peaks(y: np.ndarray, circular: bool) -> np.ndarray:
 
 def _quadratic_peak(ym1, y0, yp1):
     """3-point quadratic vertex, element-wise: fractional offset in
-    [−0.5, 0.5] and height. A collinear triple gives offset 0."""
+    [−0.5, 0.5] and height. A collinear triple gives offset 0. At a local
+    maximum the clamp bounds only rounding: 1 − 5·2⁻⁵³, 1, 1 gives 0.625
+    unclamped."""
     denom = ym1 - 2.0 * y0 + yp1
     flat = denom == 0.0
     p = np.where(flat, 0.0, 0.5 * (ym1 - yp1) / np.where(flat, 1.0, denom))
@@ -345,16 +348,6 @@ def _peak_times(fields, time_s: np.ndarray, count: int) -> np.ndarray:
     for row, field in zip(env, fields):
         np.abs(field, out=row.reshape(field.shape))
     return _refine_peak(env, time_s, env.argmax(axis=1))[0]
-
-
-def _scene_peak_times(scenes, geometry: ArrayGeometry, comb: CombSpec,
-                      f_lo_hz: float, sign: PhaseSign,
-                      time_s: np.ndarray) -> np.ndarray:
-    """_peak_times of K scenes' noiseless envelopes (the modulus, never the
-    complex field), propagated and synthesized together."""
-    phasors, amps = _phasor_stack(scenes, geometry, comb, f_lo_hz, sign)
-    fields = _baseband_field(phasors, time_s, amps)[1]
-    return _peak_times(fields, time_s, len(amps))
 
 
 def _thin_peaks(u: np.ndarray, height: np.ndarray, min_separation_u: float,
@@ -453,16 +446,9 @@ def _check_tunable(geometry: ArrayGeometry, comb: CombSpec,
                          f"num_tones * periods = {floor}")
 
 
-def _calibration_probes(reference_range_m: float | None) -> tuple[Scene, ...]:
-    """calibrate_axis's probes: u = 0.5, after u = 0 for point sources (a
-    boresight plane wave's peak time is known in closed form)."""
-    us = (0.5,) if reference_range_m is None else (0.0, 0.5)
-    return tuple(probe_scene(u, reference_range_m) for u in us)
-
-
 def _fit_calibration(comb: CombSpec, probe_times,
                      reference_range_m: float | None) -> AxisCalibration:
-    """The axis fit from the refined peak times of _calibration_probes."""
+    """The axis fit from the refined peak times of calibrate_axis's probes."""
     t0 = (0.0 if reference_range_m is None
           else float(probe_times[0]) % comb.period_s)
     t_half = float(probe_times[-1])
@@ -470,6 +456,27 @@ def _fit_calibration(comb: CombSpec, probe_times,
         float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
     return AxisCalibration(slope_sign=best_sign, t0_s=t0,
                            delta_f_hz=comb.delta_f_hz)
+
+
+def _calibrated(scenes, geometry: ArrayGeometry, comb: CombSpec,
+                f_lo_hz: float, sign: PhaseSign, grid_points: int,
+                reference_range_m: float | None):
+    """_check_tunable, then calibrate_axis's probes and ``scenes`` propagated
+    by one _phasor_stack and synthesized by one _baseband_field, and the
+    probes' peak times fitted: (calibration, the last scene's PhasorSet,
+    (t, fields, ν_min)), fields positioned at the first scene."""
+    _check_tunable(geometry, comb, grid_points)
+    # u = 0.5, after u = 0 for point sources (a boresight plane wave's
+    # peak time is known in closed form)
+    probes = tuple(probe_scene(u, reference_range_m) for u in (
+        (0.5,) if reference_range_m is None else (0.0, 0.5)))
+    phasors, amps = _phasor_stack((*probes, *scenes), geometry, comb,
+                                  f_lo_hz, sign)
+    t, fields, nu_min = _baseband_field(
+        phasors, default_time_grid(comb, grid_points), amps)
+    calibration = _fit_calibration(comb, _peak_times(fields, t, len(probes)),
+                                   reference_range_m)
+    return calibration, phasors, (t, fields, nu_min)
 
 
 def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
@@ -485,15 +492,13 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     matters. A boresight plane wave reaches every element in phase and the
     tones are consecutive, so its envelope peaks exactly at t ≡ 0 mod 1/Δf:
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
-    The probes' peak times are read together by _scene_peak_times on
-    default_time_grid(comb, grid_points); run_beamform shares the fit.
-    ValueError, naming the field, first for what _check_tunable rejects.
+    The probes are synthesized by one call on default_time_grid(comb,
+    grid_points) and their peak times read together by _calibrated, which
+    run_beamform shares. ValueError, naming the field, first for what
+    _check_tunable rejects.
     """
-    _check_tunable(geometry, comb, grid_points)
-    grid = default_time_grid(comb, grid_points)
-    times = _scene_peak_times(_calibration_probes(reference_range_m),
-                              geometry, comb, f_lo_hz, sign, grid)
-    return _fit_calibration(comb, times, reference_range_m)
+    return _calibrated((), geometry, comb, f_lo_hz, sign, grid_points,
+                       reference_range_m)[0]
 
 
 @dataclass(frozen=True)
@@ -547,26 +552,16 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
                  config: SimConfig = SimConfig()) -> BeamformOutput:
     """Full pipeline: tune, propagate, calibrate, beamform, find peaks.
 
-    calibrate_axis's probes, then the scene, are propagated and (without
-    noise, which needs beamform_envelope's complex field) synthesized by
-    one call; the probe peaks are refined together.
+    calibrate_axis's probes, then the scene, are propagated and synthesized
+    by one call (_calibrated), and the scene's field is read as
+    beamform_envelope reads it, with config.noise (trial 0).
     """
-    f_lo = config.lo_for(comb)
-    probes = _calibration_probes(config.calibration_range_m)
-    phasors, amps = _phasor_stack((*probes, scene), geometry, comb, f_lo,
-                                  config.phase_sign)
-    _check_tunable(geometry, comb, config.grid_points)
-    grid = default_time_grid(comb, config.grid_points)
-    noisy = config.noise is not None and config.noise.sigma > 0
-    fields = _baseband_field(phasors, grid, amps[:-1] if noisy else amps)[1]
-    times = _peak_times(fields, grid, len(probes))
-    calibration = _fit_calibration(comb, times, config.calibration_range_m)
-    if noisy:
-        out = beamform_envelope(phasors, grid, config.noise)
-    else:
-        out = BeamformOutput(time_s=grid, envelope=_modulus(next(fields)),
-                             phasors=phasors)
-    out.calibration = calibration
+    calibration, phasors, (grid, fields, nu_min) = _calibrated(
+        (scene,), geometry, comb, config.lo_for(comb), config.phase_sign,
+        config.grid_points, config.calibration_range_m)
+    env = _envelope(next(fields), grid, nu_min, len(phasors), config.noise, 0)
+    out = BeamformOutput(time_s=grid, envelope=env, calibration=calibration,
+                         phasors=phasors)
     out.peaks = find_peaks(out, config.threshold_fraction,
                            config.min_separation_for(comb))
     return out

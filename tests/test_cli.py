@@ -465,6 +465,21 @@ def test_bad_sim_field_is_a_config_error(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_threshold_fraction_of_one_is_a_config_error(tmp_path, capsys):
+    # find_peaks rejects 1.0 too, so a SimConfig that let it through would
+    # turn this config error into a runtime error (exit 2)
+    data = yaml.safe_load(scenario_path("single_source").read_text())
+    data["sim"]["threshold_fraction"] = 1.0
+    cfg = tmp_path / "threshold.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sim")
+    assert "threshold_fraction" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_f0_without_an_lo_names_sim_lo_hz():
     # the LO defaults to comb.f0_hz; a negative one was once reported as
     # "f_lo_hz must be >= 0", a name no scenario has
@@ -544,6 +559,30 @@ def test_each_command_calibrates_once_per_estimate(tmp_path, monkeypatch,
     assert main([args[0], "--config", str(scenario_path("single_source")),
                  "--out", str(tmp_path), *args[1:]]) == 0
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("args, syntheses", [
+    (["simulate"], 1),
+    (["sweep", "--param", "range_m", "--values", "2,8,32"], 3),
+    (["calibrate"], 1),
+])
+def test_each_command_synthesizes_once_per_estimate(tmp_path, monkeypatch,
+                                                    args, syntheses):
+    # calibrate once synthesized its held-out probes apart from the probes
+    # it fits
+    from combbeam import kspace
+
+    synthesize = kspace._baseband_field
+    count = []
+
+    def counted(*a, **kw):
+        count.append(a)
+        return synthesize(*a, **kw)
+
+    monkeypatch.setattr(kspace, "_baseband_field", counted)
+    assert main([args[0], "--config", str(scenario_path("single_source")),
+                 "--out", str(tmp_path), *args[1:]]) == 0
+    assert len(count) == syntheses
 
 
 def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):

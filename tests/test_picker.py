@@ -100,6 +100,13 @@ def test_local_peaks_edges_and_plateaus(y, circular, want):
     assert _local_peaks(np.array(y), circular).tolist() == want
 
 
+def test_circular_plateau_over_samples_0_and_1_yields_sample_0():
+    # sample 0 ties sample 1 and is above the last sample: the plateau's
+    # left sample is 0, so sample 0 is compared with >= on its right
+    assert _local_peaks(np.array([3.0, 3.0, 1.0, 0.0, 1.0]),
+                        circular=True).tolist() == [0]
+
+
 def test_quadratic_peak_is_element_wise():
     p, h = _quadratic_peak(np.array([1.0, 4.0, 1.0]),
                            np.array([2.0, 5.0, 3.0]),
@@ -108,6 +115,16 @@ def test_quadratic_peak_is_element_wise():
     assert p[0] == 0.0 and h[0] == 2.0
     assert p[1] == 0.0 and h[1] == 5.0
     assert p[2] == pytest.approx(1.0 / 6.0) and h[2] > 3.0
+
+
+def test_quadratic_peak_clamps_a_triple_flat_to_rounding():
+    # at a local maximum the vertex lies within ±0.5 in exact arithmetic,
+    # but the rounded denominator of a triple flat to a few ulps can shrink
+    # below the numerator: 1 − 5·2⁻⁵³, 1, 1 gives 0.625 unclamped
+    eps = 2.0 ** -53
+    for k in range(1, 9):
+        p, h = _quadratic_peak(1.0 - k * eps, 1.0, 1.0)
+        assert 0.0 <= p <= 0.5 and h == 1.0
 
 
 def test_thin_peaks_circular_and_linear_distance():

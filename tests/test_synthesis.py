@@ -148,8 +148,9 @@ def test_noiseless_paths_stay_off_the_complex_synthesizer(monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("the complex periodic_field ran")
 
-    monkeypatch.setattr(kspace, "periodic_field", refuse)
-    monkeypatch.setattr(analysis, "periodic_field", refuse)
+    # periodic_field and the noisy envelope apply the mixer carrier through
+    # one helper, so refusing it refuses every complex-field read
+    monkeypatch.setattr(kspace, "_carried", refuse)
     cfg = load_config_file(scenario_path("three_sources"))
     scene, geom, comb, sim = cfg.scene, cfg.geometry, cfg.comb, cfg.sim
     assert sim.noise is None and sim.calibration_range_m is not None
@@ -174,6 +175,28 @@ def test_noiseless_paths_stay_off_the_complex_synthesizer(monkeypatch,
         snr_gain(scene, geom, comb, 0.7, trials=1, config=sim)
 
 
+def test_each_estimate_synthesizes_its_scene_with_its_probes(monkeypatch):
+    # a noisy run_beamform once synthesized its scene a second time, and
+    # peak_time_report its delay scene apart from the calibration probes
+    synthesize = kspace._baseband_field
+    count = []
+
+    def counted(*a, **kw):
+        count.append(a)
+        return synthesize(*a, **kw)
+
+    monkeypatch.setattr(kspace, "_baseband_field", counted)
+    monkeypatch.setattr(analysis, "_baseband_field", counted)
+    cfg = load_config_file(scenario_path("three_sources"))
+    scene, geom, comb, sim = cfg.scene, cfg.geometry, cfg.comb, cfg.sim
+    noisy = replace(sim, noise=NoiseSpec(sigma=0.5, seed=3))
+    run_beamform(scene, geom, comb, noisy)
+    assert len(count) == 1
+    # the advance sign takes its own propagation and synthesis
+    peak_time_report(scene, geom, comb, sim)
+    assert len(count) == 3
+
+
 @pytest.mark.parametrize("f_lo", [0.0, 19.0e9, F0])
 @pytest.mark.parametrize("t0_periods, periods", [
     (0.0, 1), (0.37, 1), (-0.61, 3), (2.25, 3)])
@@ -188,7 +211,7 @@ def test_envelope_modulus_matches_both_references(f_lo, t0_periods, periods):
                               (64, 12288, 2), (40, 8193, 1), (1500, 8192, 3)):
         ps = _random_phasors(rng, n, bool(rng.integers(2)), f_lo)
         t = (t0_periods + np.arange(grid_points) * p / grid_points) / DF
-        env = kspace._periodic_envelope(ps, t)
+        env = beamform_envelope(ps, t).envelope
         bound = float(np.abs(ps.amplitudes).sum())
         assert np.abs(env - np.abs(periodic_field(ps, t))).max() \
             <= 8 * eps * bound
