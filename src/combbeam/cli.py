@@ -78,7 +78,7 @@ from typing import Any, Iterable, Iterator, NoReturn, Sequence
 import numpy as np
 import yaml
 
-from .conventional import curvature_profile, phase_map
+from .conventional import fit_phase_plane, phase_map
 from .geometry import (
     ArrayGeometry,
     Scene,
@@ -100,7 +100,7 @@ from .kspace import (
     u_to_azimuth,
     whole_periods,
 )
-from .propagation import NoiseSpec, PhaseSign, scene_element_phasors
+from .propagation import NoiseSpec, PhaseSign
 from .waveform import CombSpec
 
 __all__ = [
@@ -352,10 +352,8 @@ def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
          in enumerate(zip(ps.tones, ps.baseband_hz, ps.amplitudes.tolist()))),
     )
     if config.emit_rf:
-        phasors = scene_element_phasors(config.scene, config.geometry,
-                                        config.comb, 0.0, config.sim.phase_sign)
         write_csv_atomic(out_dir / "rf.csv", ["time_s", "rf"],
-                         zip(out.time_s, beamform_rf(phasors, out.time_s)))
+                         zip(out.time_s, beamform_rf(ps, out.time_s)))
     if map_source is not None:
         _write_phase_map(config, map_source, out_dir, with_curvature=False)
 
@@ -378,7 +376,7 @@ def _write_phase_map(config: ScenarioConfig, src: Source, out_dir: Path,
     write_csv_atomic(out_dir / "phase_map.csv",
                      ["m", "n", "x_m", "y_m", "phase_deg"], rows)
     if with_curvature:
-        res = curvature_profile(config.geometry, src, freq)
+        res = fit_phase_plane(pm)[1] / 360.0  # curvature_profile of pm
         crows = [(mi, ni, res[mi, ni])
                  for mi in range(res.shape[0]) for ni in range(res.shape[1])]
         write_csv_atomic(out_dir / "curvature.csv",

@@ -216,8 +216,7 @@ def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     The FFT gives the sum relative to the lowest tone, and the common
     factor exp(j2π·ν_min·t_k) (_carried, as in the noisy _envelope)
     restores the absolute phase. Agrees with complex_field to rounding.
-    It serves the RF trace and snr_gain. Raises the ValueErrors of
-    _baseband_field.
+    It serves snr_gain. Raises the ValueErrors of _baseband_field.
     """
     t, fields, nu_min = _baseband_field(phasors, time_s)
     return _carried(next(fields), t, nu_min)
@@ -292,15 +291,13 @@ def beamform_envelope(phasors: PhasorSet, time_s,
 
 
 def beamform_rf(phasors: PhasorSet, time_s) -> np.ndarray:
-    """Real RF element sum Σ_e |a_e|·cos(2πf_e t + ∠a_e): the real part of
-    periodic_field, so the grid must be uniform and span whole periods 1/Δf.
-    Requires f_lo = 0 so the phasors still carry RF frequencies; its
-    rectified local maxima trace out the envelope."""
-    if phasors.f_lo_hz != 0.0:
-        raise ValueError(
-            "RF synthesis needs phasors mixed with f_lo = 0 (RF frequencies)"
-        )
-    return periodic_field(phasors, time_s).real
+    """Real RF element sum Σ_e |a_e|·cos(2πf_e t + ∠a_e), f_e = ν_e + f_lo:
+    the field of _baseband_field times the carrier exp(j2π(ν_min + f_lo)t).
+    The mixer shifts only the carrier, so phasors mixed at any LO give the
+    same trace, to rounding of ν_min + f_lo. The grid must be uniform and
+    span whole periods 1/Δf. Its rectified local maxima trace the envelope."""
+    t, fields, nu_min = _baseband_field(phasors, time_s)
+    return _carried(next(fields), t, nu_min + phasors.f_lo_hz).real
 
 
 def _local_peaks(y: np.ndarray, circular: bool) -> np.ndarray:

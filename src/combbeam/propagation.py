@@ -5,8 +5,10 @@ propagation delay, phase = −2π·f·dist/c. Its large-range limit for a plane
 wave from direction û (unit vector pointing toward the source) keeps the
 element-dependent part +2π·f·(û·x)/c, which is what the far-field model uses;
 the two models therefore agree element-to-element as range grows (this
-consistency is what pins the far-field sign). PhaseSign.ADVANCE is the complex
-conjugate of DELAY in both models.
+consistency is what pins the far-field sign). PhaseSign.ADVANCE negates the
+propagation term in both models and adds the source phase unchanged, so
+ADVANCE of a scene is the complex conjugate of DELAY of that scene with every
+source's phase_rad negated (of the scene itself only when all phases are 0).
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ def received_phase_farfield(source: Source, element_pos: Vec3, freq_hz: float,
     """Wrapped phase (rad) of a plane wave at one element.
 
     The element-dependent remainder of the delay model: +2π·f·(û·x)/c for
-    DELAY (û pointing toward the source), conjugated for ADVANCE. Accepts
-    point sources only when explicitly reduced by the caller — pass a
-    far-field Source here.
+    DELAY (û pointing toward the source), negated for ADVANCE, plus the
+    source phase either way. Accepts point sources only when explicitly
+    reduced by the caller — pass a far-field Source here.
     """
     if not source.is_farfield:
         raise ValueError(
@@ -249,7 +251,8 @@ def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
     e+1, or tone N−e under ``geometry.tuning_order == "descending"``. Each
     source contributes comb.amplitude·source.amplitude at the model's
     received phase; contributions add coherently. ``f_lo_hz`` sets the
-    post-mixer baseband frequency of each phasor (0 keeps RF).
+    post-mixer baseband frequency of each phasor; the amplitudes do not
+    depend on it, and beamform_rf gives one RF trace at any LO.
     """
     return _phasor_stack((scene,), geometry, comb, f_lo_hz, sign)[0]
 

@@ -599,6 +599,48 @@ def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):
     assert max(abs(float(r[1])) for r in rows) <= 63.0
 
 
+def test_simulate_emit_rf_propagates_the_scene_once(tmp_path, monkeypatch):
+    # rf.csv reads the estimate's own phasors. _phasor_stack is counted in
+    # both modules that reach it: kspace, and propagation through
+    # scene_element_phasors.
+    from combbeam import kspace, propagation
+
+    stack = propagation._phasor_stack
+    count = []
+
+    def counted(*a, **kw):
+        count.append(a)
+        return stack(*a, **kw)
+
+    monkeypatch.setattr(propagation, "_phasor_stack", counted)
+    monkeypatch.setattr(kspace, "_phasor_stack", counted)
+    cfg = tmp_path / "rf.yaml"
+    cfg.write_text(scenario_path("single_source").read_text().replace(
+        "output: {}", "output: {emit_rf: true}"))
+    assert main(["simulate", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "rf.csv").exists()
+    assert len(count) == 1
+
+
+def test_phase_map_propagates_its_source_once(tmp_path, monkeypatch):
+    # curvature.csv fits the map phase_map.csv is written from
+    from combbeam import conventional
+
+    phase = conventional.received_phase
+    count = []
+
+    def counted(*a, **kw):
+        count.append(a)
+        return phase(*a, **kw)
+
+    monkeypatch.setattr(conventional, "received_phase", counted)
+    assert main(["phase-map", "--config", str(scenario_path("oblique_map")),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "curvature.csv").exists()
+    assert len(count) == 1
+
+
 def _find_peaks_probe_u(config, cal, u):
     """The held-out probe read calibrate once made: FFT envelope, calibrated
     axis, strongest find_peaks peak (no threshold thinning)."""

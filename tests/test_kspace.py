@@ -10,6 +10,8 @@ from combbeam.geometry import (Scene, Source, Vec3, linear_array, planar_array,
                                source_from_az_range)
 from combbeam.kspace import (
     AxisCalibration,
+    BeamformOutput,
+    Peak,
     SimConfig,
     _nearest_index,
     _quadratic_peak,
@@ -20,6 +22,7 @@ from combbeam.kspace import (
     default_time_grid,
     estimate_azimuths,
     find_peaks,
+    peak_width_u,
     run_beamform,
     time_to_u,
     u_to_azimuth,
@@ -216,10 +219,32 @@ def test_rf_local_maxima_trace_envelope_within_grid_bound():
     assert np.max(np.abs(rf[i] - env[i])) <= bound
 
 
-def test_rf_requires_zero_lo(demo_comb, demo_geometry, demo_scene):
-    ps = scene_element_phasors(demo_scene, demo_geometry, demo_comb, 19e9)
-    with pytest.raises(ValueError):
-        beamform_rf(ps, default_time_grid(demo_comb, 64))
+def test_rf_does_not_depend_on_the_mixer_lo(demo_comb, demo_geometry,
+                                            demo_scene):
+    # the mixer shifts only the carrier, which beamform_rf puts back: every
+    # tone of the demo comb is a whole number of Hz, so f_min - f_lo is
+    # exact and the traces agree bit for bit
+    grid = default_time_grid(demo_comb, 4096)
+    rf = [beamform_rf(scene_element_phasors(demo_scene, demo_geometry,
+                                            demo_comb, f_lo), grid)
+          for f_lo in (0.0, 1e9, 19e9, demo_comb.f0_hz)]
+    for other in rf[1:]:
+        assert (other == rf[0]).all()
+
+
+def test_peak_width_u_counts_a_sample_at_exact_half_power_as_inside():
+    # samples 2, 3, 5 and 6 sit exactly at half power (1 = sqrt(2)/sqrt(2)),
+    # so the -3 dB crossings lie between samples 1-2 and 6-7: 4 samples of
+    # 0.1 us, times 2*delta_f = 2 MHz, is 0.8 in u. Counting a sample at
+    # half power as outside would give 0.4.
+    env = np.array([0.2, 0.5, 1.0, 1.0, math.sqrt(2.0), 1.0, 1.0, 0.5, 0.2,
+                    0.1])
+    t = np.arange(env.size) * 0.1e-6
+    cal = AxisCalibration(slope_sign=1, t0_s=0.0, delta_f_hz=1e6)
+    out = BeamformOutput(time_s=t, envelope=env, calibration=cal)
+    peak = Peak(time_s=float(t[4]), u=time_to_u(cal, t[4]),
+                azimuth_deg=0.0, magnitude=math.sqrt(2.0))
+    assert peak_width_u(out, peak) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_calibrate_demo_axis(demo_comb, demo_geometry):

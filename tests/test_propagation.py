@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -167,6 +168,30 @@ def test_scene_phasors_advance_conjugates(demo_comb, demo_geometry, demo_scene):
     a = scene_element_phasors(demo_scene, demo_geometry, demo_comb,
                               19e9, PhaseSign.ADVANCE)
     np.testing.assert_allclose(a.amplitudes, np.conj(d.amplitudes), atol=1e-12)
+
+
+@pytest.mark.parametrize("sources, model", [
+    ((Source.point(Vec3(-6.0, 0.0, 6.0), 1.0, 0.7),
+      Source.point(Vec3(2.0, 0.5, 9.0), 0.6, -2.1)), "exact-spherical"),
+    ((Source.farfield(-0.4, 0.0, 1.0, 0.7),
+      Source.farfield(0.25, 0.1, 0.6, -2.1)), "far-field"),
+])
+def test_advance_is_the_conjugate_delay_of_the_negated_source_phases(
+        demo_comb, demo_geometry, sources, model):
+    # ADVANCE negates only the propagation term and adds phase_rad as it
+    # is, so it conjugates DELAY only once every source phase is negated
+    scene = Scene(sources=sources, model=model)
+    negated = Scene(sources=tuple(replace(s, phase_rad=-s.phase_rad)
+                                  for s in sources), model=model)
+
+    def amps(sc, sign):
+        return scene_element_phasors(sc, demo_geometry, demo_comb, 19e9,
+                                     sign).amplitudes
+
+    advance = amps(scene, PhaseSign.ADVANCE)
+    conj_delay = np.conj(amps(negated, PhaseSign.DELAY))
+    np.testing.assert_allclose(advance, conj_delay, rtol=0, atol=1e-12)
+    assert np.abs(advance - np.conj(amps(scene, PhaseSign.DELAY))).max() > 0.1
 
 
 def test_zero_amplitude_source_gives_zero_phasors(demo_comb, demo_geometry):

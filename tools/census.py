@@ -29,8 +29,9 @@ The matrix:
 - ``run_beamform``, ``compare_methods``, ``peak_time_report`` and
   ``snr_gain`` (20 trials) on both line scenarios with the scenario's
   calibration, the other calibration and noise; the noisy
-  ``beamform_envelope`` (trials 0 and 3); ``calibrate_axis`` for both
-  phase signs and both probe kinds; ``nearfield_error_sweep``;
+  ``beamform_envelope`` (trials 0 and 3); ``beamform_rf`` of the scene's
+  phasors mixed at f_lo = 0 and at the scenario's LO; ``calibrate_axis``
+  for both phase signs and both probe kinds; ``nearfield_error_sweep``;
 - ``run_beamform`` on the ``estimate_small`` and ``estimate_large`` ops of
   ``perfbench/workloads.py`` for seeds 1 and 2.
 """
@@ -216,6 +217,10 @@ def library_records():
             yield _call(f"lib/beamform_envelope/{sc}/noise-trial{trial}",
                         lambda: kspace.beamform_envelope(ps, grid, noise,
                                                          trial))
+        for label, f_lo in (("lo0", 0.0), ("lo-scenario", sim.lo_for(comb))):
+            yield _call(f"lib/beamform_rf/{sc}/{label}",
+                        lambda: kspace.beamform_rf(scene_element_phasors(
+                            scene, geom, comb, f_lo, sim.phase_sign), grid))
     cfg = load_config_file(scenario_path("single_source"))
     geom, comb, sim = cfg.geometry, cfg.comb, cfg.sim
     for sign in PhaseSign:
