@@ -55,7 +55,10 @@ is scene-wide). Commands:
 The envelope repeats every 1/delta_f_hz and is sampled on sim.grid_points
 points over duration_s; a duration that is not a whole number of periods is
 a configuration error. So is a grid_points below num_tones times the number
-of periods: each tone needs an FFT bin of its own. Exit codes: 0 success,
+of periods: each tone needs an FFT bin of its own. So is an lo_hz so large
+that rounding in f - lo_hz moves the tones off their delta_f_hz spacing
+(1.0e+18 Hz does on the bundled combs). Numbers may take the YAML 1.2
+forms 1e5, 1.0e18, 5e-6 and .5e3 too. Exit codes: 0 success,
 1 configuration errors (including bad or missing flags, and --seed on a
 scenario without sim.noise), 2 runtime (math/model) errors, 3 I/O errors.
 The output directory is created with the first CSV, so a command that fails
@@ -69,6 +72,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
@@ -242,10 +246,22 @@ def _parse_source(entry: Any, path: str) -> Source:
     )
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads the YAML 1.2 floats that YAML 1.1
+    leaves as strings: an exponent without a dot or without a sign, as in
+    1e5, 1.0e18, 1e+18, 5e-6 and .5e3."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario document."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as e:
         raise ConfigError(f"invalid YAML: {e}") from e
     given = _section(data, "config")
@@ -327,7 +343,8 @@ def write_csv_atomic(path: Path, header: Sequence[str],
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     map_source = _phase_map_source(config) if config.emit_phase_map else None
     with _config_errors():
-        _check_tunable(config.geometry, config.comb, config.sim.grid_points)
+        _check_tunable(config.geometry, config.comb,
+                       config.sim.lo_for(config.comb), config.sim.grid_points)
     out = run_beamform(config.scene, config.geometry, config.comb, config.sim)
     u, azimuth_deg = out.u, out.azimuth_deg
     assert u is not None and azimuth_deg is not None
@@ -440,7 +457,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
                 comb = replace(comb, delta_f_hz=float(value))
             elif param == "spacing_m":
                 geometry = replace(geometry, dx_m=float(value))
-            _check_tunable(geometry, comb, sim.grid_points)
+            _check_tunable(geometry, comb, sim.lo_for(comb), sim.grid_points)
         points.append((value, comb, geometry, scene, sim))
 
     rows = [(value, *_sweep_step(scene, geometry, comb, sim, true_az,

@@ -127,6 +127,18 @@ def whole_periods(span_s: float, delta_f_hz: float) -> int:
     return whole
 
 
+def _lattice_steps(baseband_hz: np.ndarray, delta_f_hz: float):
+    """(ν_min, m): the lowest baseband tone and each tone's whole number of
+    Δf steps above it; ValueError for tones off the Δf lattice, as when
+    rounding in f − LO at a huge mixer LO loses the spacing."""
+    nu_min = float(baseband_hz.min())
+    steps = (baseband_hz - nu_min) / delta_f_hz
+    m = np.rint(steps)
+    if np.abs(steps - m).max() > 1e-6:
+        raise ValueError("baseband tones are not spaced by multiples of Δf")
+    return nu_min, m
+
+
 # Shortest row of the split inverse FFT in _baseband_field. A G-point grid
 # runs as R rows of G/R points, R the largest power of two that leaves rows
 # of at least this many. Transformed in place as rows of this length, a
@@ -176,11 +188,7 @@ def _baseband_field(phasors: PhasorSet, time_s, amplitudes=None):
     if amplitudes is None:
         amplitudes = phasors.amplitudes[None]
     nu = phasors.baseband_hz
-    nu_min = float(nu.min())
-    steps = (nu - nu_min) / phasors.delta_f_hz
-    m = np.rint(steps)
-    if np.abs(steps - m).max() > 1e-6:
-        raise ValueError("baseband tones are not spaced by multiples of Δf")
+    nu_min, m = _lattice_steps(nu, phasors.delta_f_hz)
     rows = 1
     while g % (2 * rows) == 0 and g // (2 * rows) >= _ROW_POINTS:
         rows *= 2
@@ -421,14 +429,16 @@ def probe_scene(u: float, range_m: float | None = None) -> Scene:
                                             range_m * uz)),))
 
 
-def _check_tunable(geometry: ArrayGeometry, comb: CombSpec,
+def _check_tunable(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
                    grid_points: int) -> None:
     """ValueError, naming the field, unless the comb can estimate on this
-    array and grid: the array is one the comb can tune (_tuned_tones), the
-    comb has the 2 tones the axis calibration needs, duration_s is a whole
-    number of envelope periods, and the grid has at least N samples per
-    period (below that the tones share FFT bins and the envelope gives
-    wrong directions). Checked in that order; runs no propagation or FFT.
+    array, mixer LO and grid: the array is one the comb can tune
+    (_tuned_tones), the comb has the 2 tones the axis calibration needs,
+    duration_s is a whole number of envelope periods, the grid has at
+    least N samples per period (below that the tones share FFT bins and
+    the envelope gives wrong directions), and the tones mixed down by
+    f_lo_hz stay on the Δf lattice (_lattice_steps). Checked in that
+    order; runs no propagation or FFT.
     """
     _tuned_tones(geometry, comb)
     if comb.num_tones < 2:
@@ -441,6 +451,10 @@ def _check_tunable(geometry: ArrayGeometry, comb: CombSpec,
     if grid_points < floor:
         raise ValueError(f"sim.grid_points: {grid_points} is below "
                          f"num_tones * periods = {floor}")
+    try:
+        _lattice_steps(comb.tone_frequencies - f_lo_hz, comb.delta_f_hz)
+    except ValueError as e:
+        raise ValueError(f"sim.lo_hz: {f_lo_hz!r}: {e}") from e
 
 
 def _fit_calibration(comb: CombSpec, probe_times,
@@ -455,24 +469,46 @@ def _fit_calibration(comb: CombSpec, probe_times,
                            delta_f_hz=comb.delta_f_hz)
 
 
+# The calibrations _calibrated fitted in this process, keyed on the inputs
+# of the fit: the time→u axis belongs to the array, comb, LO and grid, not
+# to the scene. At most _CALIBRATIONS_HELD, the oldest dropped first.
+_CALIBRATIONS: dict[tuple, AxisCalibration] = {}
+_CALIBRATIONS_HELD = 256
+
+
 def _calibrated(scenes, geometry: ArrayGeometry, comb: CombSpec,
                 f_lo_hz: float, sign: PhaseSign, grid_points: int,
                 reference_range_m: float | None):
     """_check_tunable, then calibrate_axis's probes and ``scenes`` propagated
     by one _phasor_stack and synthesized by one _baseband_field, and the
     probes' peak times fitted: (calibration, the last scene's PhasorSet,
-    (t, fields, ν_min)), fields positioned at the first scene."""
-    _check_tunable(geometry, comb, grid_points)
-    # u = 0.5, after u = 0 for point sources (a boresight plane wave's
-    # peak time is known in closed form)
-    probes = tuple(probe_scene(u, reference_range_m) for u in (
-        (0.5,) if reference_range_m is None else (0.0, 0.5)))
+    (t, fields, ν_min)), fields positioned at the first scene; without
+    scenes, (calibration, None, None). A calibration fitted before on equal
+    inputs in this process is remembered (_CALIBRATIONS, in memory; nothing
+    is written to disk), and then the probes are left out: only the scenes
+    are propagated and synthesized."""
+    _check_tunable(geometry, comb, f_lo_hz, grid_points)
+    key = (geometry, comb, f_lo_hz, sign, grid_points, reference_range_m)
+    calibration = _CALIBRATIONS.get(key)
+    probes = () if calibration is not None else tuple(
+        # u = 0.5, after u = 0 for point sources (a boresight plane wave's
+        # peak time is known in closed form)
+        probe_scene(u, reference_range_m)
+        for u in ((0.5,) if reference_range_m is None else (0.0, 0.5)))
+    if not (probes or scenes):
+        return calibration, None, None
     phasors, amps = _phasor_stack((*probes, *scenes), geometry, comb,
                                   f_lo_hz, sign)
     t, fields, nu_min = _baseband_field(
         phasors, default_time_grid(comb, grid_points), amps)
-    calibration = _fit_calibration(comb, _peak_times(fields, t, len(probes)),
-                                   reference_range_m)
+    if probes:
+        calibration = _fit_calibration(
+            comb, _peak_times(fields, t, len(probes)), reference_range_m)
+        if len(_CALIBRATIONS) >= _CALIBRATIONS_HELD:
+            del _CALIBRATIONS[next(iter(_CALIBRATIONS))]
+        _CALIBRATIONS[key] = calibration
+    if not scenes:
+        return calibration, None, None
     return calibration, phasors, (t, fields, nu_min)
 
 
@@ -491,8 +527,10 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
     The probes are synthesized by one call on default_time_grid(comb,
     grid_points) and their peak times read together by _calibrated, which
-    run_beamform shares. ValueError, naming the field, first for what
-    _check_tunable rejects.
+    run_beamform shares. The fit is remembered for the rest of the process
+    (in memory only; nothing is written to disk), so a repeat call with
+    equal arguments synthesizes nothing. ValueError, naming the field,
+    first for what _check_tunable rejects.
     """
     return _calibrated((), geometry, comb, f_lo_hz, sign, grid_points,
                        reference_range_m)[0]
@@ -551,7 +589,10 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
 
     calibrate_axis's probes, then the scene, are propagated and synthesized
     by one call (_calibrated), and the scene's field is read as
-    beamform_envelope reads it, with config.noise (trial 0).
+    beamform_envelope reads it, with config.noise (trial 0). Calibrations
+    are remembered per process, in memory only: a repeat estimate on an
+    equal array, comb, LO, phase sign, grid and calibration range
+    propagates and synthesizes only its scene.
     """
     calibration, phasors, (grid, fields, nu_min) = _calibrated(
         (scene,), geometry, comb, config.lo_for(comb), config.phase_sign,

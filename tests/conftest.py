@@ -1,11 +1,19 @@
 import pytest
 
+from combbeam import kspace
 from combbeam.geometry import Scene, linear_array, source_from_az_range
 from combbeam.kspace import SimConfig
 from combbeam.waveform import SPEED_OF_LIGHT, CombSpec
 
 # half-wavelength element pitch at the top tone of the 19 GHz demo comb
 D21 = SPEED_OF_LIGHT / (2.0 * 19.005e9)
+
+
+@pytest.fixture(autouse=True)
+def no_remembered_calibrations():
+    """Every test starts with no calibration remembered from an earlier one
+    (kspace._CALIBRATIONS), so what it counts does not depend on order."""
+    kspace._CALIBRATIONS.clear()
 
 
 @pytest.fixture

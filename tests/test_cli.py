@@ -490,6 +490,49 @@ def test_negative_f0_without_an_lo_names_sim_lo_hz():
         parse_config(yaml.safe_dump(data))
 
 
+@pytest.mark.parametrize("lo, rc", [("1.0e+18", 1), ("1.0e+17", 0)])
+@pytest.mark.parametrize("args", [
+    ["simulate"], ["calibrate"],
+    ["sweep", "--param", "spacing_m", "--values", "0.0078872"],
+])
+def test_an_lo_that_loses_the_tone_spacing_is_a_config_error(
+        tmp_path, capsys, lo, rc, args):
+    # at 1e18 Hz, f − LO rounds to multiples of 128 Hz, off the 0.2 MHz
+    # lattice: simulate once exited 2 with a runtime error
+    cfg = tmp_path / "lo.yaml"
+    cfg.write_text(scenario_path("single_source").read_text().replace(
+        "lo_hz: 19000000000.0", f"lo_hz: {lo}"))
+    out = tmp_path / "out"
+    assert main([args[0], "--config", str(cfg), "--out", str(out),
+                 *args[1:]]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith("config error:")
+        assert "sim.lo_hz" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["1.9e10", "1.9e+10", "19e9", ".19e11",
+                                  "1.9E10", "190e+8"])
+def test_yaml_1_2_float_forms_are_numbers(text):
+    # YAML 1.1 reads a float only with a dot and a signed exponent, so
+    # these once loaded as strings and were config errors
+    base = scenario_path("single_source").read_text()
+    config = parse_config(base.replace("lo_hz: 19000000000.0",
+                                       f"lo_hz: {text}"))
+    assert config.sim.lo_hz == 1.9e10
+    config = parse_config(base.replace("duration_s: 0.000005",
+                                       "duration_s: 5e-6"))
+    assert config.comb.duration_s == 5e-6
+
+
+def test_an_output_directory_that_reads_as_a_number_is_a_config_error():
+    text = scenario_path("single_source").read_text().replace(
+        "output: {}", "output: {directory: 1e5}")
+    with pytest.raises(ConfigError, match=r"^output\.directory: "):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("command", ["simulate", "calibrate"])
 def test_grid_coarser_than_the_tones_is_a_config_error(tmp_path, capsys,
                                                        command):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
+from combbeam import kspace
 from combbeam.geometry import (Scene, Source, Vec3, linear_array, planar_array,
                                source_from_az_range)
 from combbeam.kspace import (
@@ -284,6 +285,118 @@ def test_calibrate_rejects_bad_reference_range(demo_comb, demo_geometry):
                        reference_range_m=-3.0)
 
 
+def _counted(monkeypatch, name):
+    """Replace kspace.<name> by a wrapper; returns the list of its calls'
+    positional arguments."""
+    calls = []
+    real = getattr(kspace, name)
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(kspace, name, counted)
+    return calls
+
+
+def _demo_estimate():
+    """The demo comb, array, scene and config, built afresh: equal to, but
+    not the same objects as, those of an earlier call."""
+    comb = CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=21,
+                    duration_s=5e-6)
+    scene = Scene(sources=(source_from_az_range(-45.0, 8.4853),
+                           source_from_az_range(20.0, 5.0, amplitude=0.8)))
+    return scene, linear_array(21, D21), comb, SimConfig(lo_hz=19.0e9)
+
+
+def test_a_repeat_estimate_propagates_and_synthesizes_only_its_scene(
+        monkeypatch):
+    first = run_beamform(*_demo_estimate())
+    stacks = _counted(monkeypatch, "_phasor_stack")
+    fits = _counted(monkeypatch, "_fit_calibration")
+    scene, geom, comb, config = _demo_estimate()
+    second = run_beamform(scene, geom, comb, config)
+    assert [a[0] for a in stacks] == [(scene,)]
+    assert fits == []
+    assert second.calibration == first.calibration
+    assert np.array_equal(second.envelope, first.envelope)
+    assert second.peaks == first.peaks
+    for name in ("amplitudes", "tones", "baseband_hz"):
+        assert np.array_equal(getattr(second.phasors, name),
+                              getattr(first.phasors, name))
+    # calibrate_axis then propagates and synthesizes nothing
+    synths = _counted(monkeypatch, "_baseband_field")
+    assert calibrate_axis(geom, comb, 19.0e9) == first.calibration
+    assert len(stacks) == 1 and synths == [] and fits == []
+
+
+_BASE_CALIBRATION = dict(f0_hz=19.0008e9, delta_f_hz=0.2e6, duration_s=5e-6,
+                         amplitude=1.0, dx_m=D21, origin=Vec3(0.0, 0.0, 0.0),
+                         tuning_order="ascending", f_lo_hz=19.0e9,
+                         sign=PhaseSign.DELAY, grid_points=4096,
+                         reference_range_m=None)
+
+
+def _calibration_of(f0_hz, delta_f_hz, duration_s, amplitude, dx_m, origin,
+                    tuning_order, f_lo_hz, sign, grid_points,
+                    reference_range_m):
+    comb = CombSpec(f0_hz=f0_hz, delta_f_hz=delta_f_hz, num_tones=21,
+                    duration_s=duration_s, amplitude=amplitude)
+    geom = linear_array(21, dx_m, origin=origin, tuning_order=tuning_order)
+    return calibrate_axis(geom, comb, f_lo_hz, sign, grid_points,
+                          reference_range_m)
+
+
+@pytest.mark.parametrize("warm, change", [
+    ({}, {"tuning_order": "descending"}),
+    ({}, {"dx_m": 0.9 * D21}),
+    ({}, {"origin": Vec3(0.01, 0.0, 0.0)}),
+    ({}, {"f0_hz": 19.0010e9}),
+    ({}, {"delta_f_hz": 0.4e6}),
+    ({}, {"duration_s": 1e-5}),
+    ({}, {"amplitude": 2.0}),
+    ({}, {"f_lo_hz": 18.9e9}),
+    ({}, {"sign": PhaseSign.ADVANCE}),
+    ({}, {"grid_points": 4097}),
+    ({}, {"reference_range_m": 10.0}),
+    ({"reference_range_m": 10.0}, {"reference_range_m": 20.0}),
+    ({"reference_range_m": 10.0}, {"reference_range_m": None}),
+])
+def test_each_input_of_the_fit_gets_its_own_calibration(monkeypatch, warm,
+                                                        change):
+    # a field left out of the memo's key would hand back the warm fit
+    warm = {**_BASE_CALIBRATION, **warm}
+    _calibration_of(**warm)
+    fits = _counted(monkeypatch, "_fit_calibration")
+    got = _calibration_of(**{**warm, **change})
+    assert len(fits) == 1
+    kspace._CALIBRATIONS.clear()
+    assert got == _calibration_of(**{**warm, **change})
+
+
+def test_the_memo_holds_at_most_its_bound():
+    comb = CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=4,
+                    duration_s=5e-6)
+    geom = linear_array(4, D21)
+    grids = range(8, 8 + kspace._CALIBRATIONS_HELD + 40)
+    for g in grids:
+        calibrate_axis(geom, comb, 19.0e9, grid_points=g)
+    assert len(kspace._CALIBRATIONS) == kspace._CALIBRATIONS_HELD
+    held = {key[4] for key in kspace._CALIBRATIONS}
+    assert held == set(grids[-kspace._CALIBRATIONS_HELD:])
+
+
+def test_an_lo_off_the_tone_lattice_is_rejected_before_the_memo(demo_comb,
+                                                                demo_geometry):
+    # f − LO at 1e18 Hz rounds to multiples of 128 Hz, off the 0.2 MHz
+    # lattice; 1e17 rounds to multiples of 16 Hz and stays on it
+    with pytest.raises(ValueError, match=r"^sim\.lo_hz: "):
+        calibrate_axis(demo_geometry, demo_comb, 1.0e18)
+    assert kspace._CALIBRATIONS == {}
+    calibrate_axis(demo_geometry, demo_comb, 1.0e17)
+    assert len(kspace._CALIBRATIONS) == 1
+
+
 def test_quadratic_peak_recovers_parabola_vertex():
     # y = c0 + c1*x + c2*x^2 sampled at x = -1, 0, +1
     for c0, c1, c2 in ((5.0, 0.4, -1.0), (2.0, -0.3, -0.7), (1.0, 0.0, -2.0)):
@@ -525,7 +638,11 @@ def _estimates(draw):
 @settings(max_examples=60, deadline=None)
 def test_run_beamform_equals_its_stages_run_separately(estimate):
     scene, geom, comb, config = estimate
+    # each side fits its own calibration, not one remembered from the other
+    # or from an earlier example
+    kspace._CALIBRATIONS.clear()
     got = run_beamform(scene, geom, comb, config)
+    kspace._CALIBRATIONS.clear()
     f_lo = config.lo_for(comb)
     ps = scene_element_phasors(scene, geom, comb, f_lo, config.phase_sign)
     want = beamform_envelope(ps, default_time_grid(comb, config.grid_points),

@@ -166,7 +166,7 @@ def test_the_tunability_gate_is_complete(doc):
         return
     comb, geometry, sim = config.comb, config.geometry, config.sim
     try:
-        _check_tunable(geometry, comb, sim.grid_points)
+        _check_tunable(geometry, comb, sim.lo_for(comb), sim.grid_points)
     except ValueError as e:
         assert _named(str(e)) in PATHS, str(e)
         return
