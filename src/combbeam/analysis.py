@@ -24,22 +24,23 @@ from .kspace import (
     SimConfig,
     _baseband_field,
     _calibrated,
+    _design_of,
+    _design_point,
     _local_peaks,
     _nearest_index,
     _peak_times,
     _quadratic_peak,
+    _scene_field,
     _sweep_step,
     _thin_peaks,
     complex_field,
-    default_time_grid,
     peak_width_u,
-    periodic_field,
     run_beamform,
     time_to_u,
     u_to_azimuth,
 )
-from .propagation import (NoiseSpec, PhaseSign, PhasorSet,
-                          scene_element_phasors, summed_noise)
+from .propagation import (NoiseSpec, PhaseSign, PhasorSet, _phasor_stack,
+                          summed_noise)
 from .waveform import CombSpec, wavelength
 
 __all__ = [
@@ -235,16 +236,17 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     cells of 2/N; the whole grid when that window covers it, as for N ≤ 8
     over one period), scaled by 1/ln 2 for exponential power. The floor is
     read from the noise alone, so the window sets only its sample count.
-    Trial ratios are averaged linearly, then converted to dB once.
+    Trial ratios are averaged linearly, then converted to dB once. The
+    phasors and grid come from the scene's design point, so what the
+    estimators' tunability gate rejects raises a ValueError naming the
+    field; one tone is allowed, as no axis is fitted.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive int, got {trials!r}")
-    phasors = scene_element_phasors(scene, geometry, comb,
-                                    config.lo_for(comb), config.phase_sign)
-    grid = default_time_grid(comb, config.grid_points)
-    z_clean = periodic_field(phasors, grid)
+    phasors, grid, z_clean = _scene_field(
+        scene, _design_of(geometry, comb, config))
     i_peak = int(np.argmax(np.abs(z_clean)))
     n = grid.size
     num_elements = len(phasors)
@@ -312,15 +314,17 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     shares the calibration's synthesis (kspace._calibrated).
     brute_force_peak is the dense oracle it is tested against.
     """
-    f_lo = config.lo_for(comb)
-    cal, _, (grid, fields, _) = _calibrated(
-        (scene,), geometry, comb, f_lo, PhaseSign.DELAY, config.grid_points,
-        config.calibration_range_m)
+    design = _design_point(geometry, comb, config.lo_for(comb),
+                           PhaseSign.DELAY, config.grid_points,
+                           config.calibration_range_m)
+    cal, _, grid, fields = _calibrated((scene,), design)
     # the advance sign needs its own propagation: the probes are delayed
-    advance = scene_element_phasors(scene, geometry, comb, f_lo,
-                                    PhaseSign.ADVANCE)
-    delay_t, advance_t = (float(_peak_times(f, grid, 1)[0]) % comb.period_s
-                          for f in (fields, _baseband_field(advance, grid)[1]))
+    advance = _phasor_stack((scene,), design.positions, design.freqs_hz,
+                            PhaseSign.ADVANCE, comb.amplitude)
+    delay_t, advance_t = (
+        float(_peak_times(f, grid, 1)[0]) % comb.period_s
+        for f in (fields, _baseband_field(advance, design.bins,
+                                          design.twiddles, grid.size)))
     u = float(time_to_u(cal, delay_t))
     return PeakTimeReport(
         delay_peak_time_s=delay_t,

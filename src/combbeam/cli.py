@@ -94,7 +94,8 @@ from .geometry import (
 from .kspace import (
     SimConfig,
     _calibrated,
-    _check_tunable,
+    _calibrating,
+    _design_of,
     _peak_times,
     _sweep_step,
     beamform_rf,
@@ -342,9 +343,10 @@ def write_csv_atomic(path: Path, header: Sequence[str],
 
 def cmd_simulate(config: ScenarioConfig, out_dir: Path) -> None:
     map_source = _phase_map_source(config) if config.emit_phase_map else None
+    # what the tunability gate rejects is a config error; run_beamform then
+    # finds the design point remembered
     with _config_errors():
-        _check_tunable(config.geometry, config.comb,
-                       config.sim.lo_for(config.comb), config.sim.grid_points)
+        _calibrating(_design_of(config.geometry, config.comb, config.sim))
     out = run_beamform(config.scene, config.geometry, config.comb, config.sim)
     u, azimuth_deg = out.u, out.azimuth_deg
     assert u is not None and azimuth_deg is not None
@@ -457,7 +459,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, param: str,
                 comb = replace(comb, delta_f_hz=float(value))
             elif param == "spacing_m":
                 geometry = replace(geometry, dx_m=float(value))
-            _check_tunable(geometry, comb, sim.lo_for(comb), sim.grid_points)
+            _calibrating(_design_of(geometry, comb, sim))
         points.append((value, comb, geometry, scene, sim))
 
     rows = [(value, *_sweep_step(scene, geometry, comb, sim, true_az,
@@ -476,9 +478,8 @@ def cmd_calibrate(config: ScenarioConfig) -> None:
     held_out = [probe_scene(u, sim.calibration_range_m)
                 for u in _HELD_OUT_PROBES]
     with _config_errors():
-        cal, _, (grid, fields, _) = _calibrated(
-            held_out, geometry, comb, sim.lo_for(comb), sim.phase_sign,
-            sim.grid_points, sim.calibration_range_m)
+        cal, _, grid, fields = _calibrated(
+            held_out, _design_of(geometry, comb, sim))
     times = _peak_times(fields, grid, len(held_out))
     print(f"slope_sign={cal.slope_sign}")
     print(f"t0_s={cal.t0_s!r}")

@@ -10,11 +10,12 @@ time to u; peaks then land at u = sin(azimuth).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ArrayGeometry, Scene, Source, Vec3, uv_to_direction
+from .geometry import (ArrayGeometry, Scene, Source, Vec3,
+                       element_positions_array, uv_to_direction)
 from .propagation import (
     NoiseSpec,
     PhaseSign,
@@ -147,11 +148,25 @@ def _lattice_steps(baseband_hz: np.ndarray, delta_f_hz: float):
 _ROW_POINTS = 4096
 
 
-def _baseband_field(phasors: PhasorSet, time_s, amplitudes=None):
-    """(t, fields, ν_min) on a uniform grid of whole envelope periods:
-    for each row of the (K, E) ``amplitudes`` (default: the phasors' own),
-    in order, the iterator fields yields an (L, R) array whose ravel is
-    Σ_e a_e·exp(j2π(ν_e − ν_min)t), periodic_field without its carrier.
+def _fft_bins(m: np.ndarray, periods: int, grid_points: int):
+    """(bins, twiddles) of _baseband_field for tones m_e whole Δf steps
+    above ν_min on a G-point grid of P periods: bin b_e = (m_e·P) mod G
+    and the (R, E) row twiddles exp(j2π·((b_e·r) mod G)/G), r < R (see
+    _ROW_POINTS; R = 1 below 8192 points and for odd G)."""
+    rows = 1
+    while (grid_points % (2 * rows) == 0
+           and grid_points // (2 * rows) >= _ROW_POINTS):
+        rows *= 2
+    b = (m.astype(np.int64) * periods) % grid_points
+    return b, _turns(b * np.arange(rows)[:, None] % grid_points / grid_points)
+
+
+def _baseband_field(amplitudes: np.ndarray, bins: np.ndarray,
+                    twiddles: np.ndarray, grid_points: int):
+    """For each row c of the (K, E) ``amplitudes``, in order, an (L, R)
+    array whose ravel is Σ_e c_e·exp(j2π·b_e·k/G), k < G, with ``bins``
+    and ``twiddles`` from _fft_bins: periodic_field without its carrier
+    on the grid below (c = a on default_time_grid, where t_0 = 0).
 
     The tones sit on the Δf lattice, ν_e = ν_min + m_e·Δf. On the grid
     t_k = t_0 + k·dt (G points spanning P = Δf·G·dt whole periods)
@@ -162,15 +177,28 @@ def _baseband_field(phasors: PhasorSet, time_s, amplitudes=None):
     Σ_e c_e·exp(j2π·b_e·r/G)·exp(j2π·(b_e mod L)·q/L), so row r holds
     each c_e times its exact twiddle exp(j2π·((b_e·r) mod G)/G) in column
     b_e mod L, and one in-place L-point inverse FFT per row gives samples
-    r, r + R, r + 2R, ... (R = 1, every twiddle exactly 1, below 8192
-    points, for odd G and so on the default grid; see _ROW_POINTS).
-    The K fields share checks, bins and twiddles and are transformed in
-    turn in one reused (R, L) block, so a field is valid only until the
-    next is drawn. K fields then take one field's memory: a (K, R, L)
-    array made 16384-point estimates fault in fresh pages on every call.
-    Raises ValueError for a grid that is not uniform, does not span whole
-    periods, or tones off the Δf lattice.
+    r, r + R, r + 2R, ... The K fields are transformed in turn in one
+    reused (R, L) block, so a field is valid only until the next is drawn.
+    K fields then take one field's memory: a (K, R, L) array made
+    16384-point estimates fault in fresh pages on every call.
     """
+    rows = len(twiddles)
+    cols = grid_points // rows
+    r = np.arange(rows)[:, None]
+    c = bins % cols
+    a = np.empty((rows, cols), dtype=complex)
+    for coef in amplitudes[:, None, :] * twiddles:
+        a.fill(0.0)
+        np.add.at(a, (r, c), coef)
+        np.fft.ifft(a, axis=1, norm="forward", out=a)
+        yield a.T
+
+
+def _grid_field(phasors: PhasorSet, time_s):
+    """(t, fields, ν_min): _baseband_field of one PhasorSet on a caller's
+    grid, Σ_e a_e·exp(j2π(ν_e − ν_min)t) — periodic_field without its
+    carrier. Raises ValueError for a grid that is not uniform, does not
+    span whole periods, or tones off the Δf lattice."""
     t = np.asarray(time_s, dtype=float)
     g = t.size
     if t.ndim != 1 or g < 2:
@@ -185,28 +213,10 @@ def _baseband_field(phasors: PhasorSet, time_s, amplitudes=None):
     if np.abs(off, out=off).max() > 1e-9 * g * dt:
         raise ValueError("time grid is not uniform")
     periods = whole_periods(g * dt, phasors.delta_f_hz)
-    if amplitudes is None:
-        amplitudes = phasors.amplitudes[None]
     nu = phasors.baseband_hz
     nu_min, m = _lattice_steps(nu, phasors.delta_f_hz)
-    rows = 1
-    while g % (2 * rows) == 0 and g // (2 * rows) >= _ROW_POINTS:
-        rows *= 2
-    cols = g // rows
-    b = (m.astype(np.int64) * periods) % g
-    r = np.arange(rows)[:, None]
-    coef = (amplitudes[:, None, :] * _turns((nu - nu_min) * t[0])
-            * _turns(b * r % g / g))
-
-    def fields():
-        a = np.empty((rows, cols), dtype=complex)
-        for c in coef:
-            a.fill(0.0)
-            np.add.at(a, (r, b % cols), c)
-            np.fft.ifft(a, axis=1, norm="forward", out=a)
-            yield a.T
-
-    return t, fields(), nu_min
+    c = phasors.amplitudes * _turns((nu - nu_min) * t[0])
+    return t, _baseband_field(c[None], *_fft_bins(m, periods, g), g), nu_min
 
 
 def _carried(field: np.ndarray, t: np.ndarray, nu_min: float) -> np.ndarray:
@@ -224,9 +234,10 @@ def periodic_field(phasors: PhasorSet, time_s) -> np.ndarray:
     The FFT gives the sum relative to the lowest tone, and the common
     factor exp(j2π·ν_min·t_k) (_carried, as in the noisy _envelope)
     restores the absolute phase. Agrees with complex_field to rounding.
-    It serves snr_gain. Raises the ValueErrors of _baseband_field.
+    snr_gain reads the same field on its design point's grid
+    (_scene_field). Raises the ValueErrors of _grid_field.
     """
-    t, fields, nu_min = _baseband_field(phasors, time_s)
+    t, fields, nu_min = _grid_field(phasors, time_s)
     return _carried(next(fields), t, nu_min)
 
 
@@ -293,7 +304,7 @@ def beamform_envelope(phasors: PhasorSet, time_s,
     _envelope. Without noise no carrier is applied, so the envelope is
     independent of the common mixer LO: only tone differences enter |·|.
     """
-    t, fields, nu_min = _baseband_field(phasors, time_s)
+    t, fields, nu_min = _grid_field(phasors, time_s)
     env = _envelope(next(fields), t, nu_min, len(phasors), noise, trial)
     return BeamformOutput(time_s=t, envelope=env, phasors=phasors)
 
@@ -304,7 +315,7 @@ def beamform_rf(phasors: PhasorSet, time_s) -> np.ndarray:
     The mixer shifts only the carrier, so phasors mixed at any LO give the
     same trace, to rounding of ν_min + f_lo. The grid must be uniform and
     span whole periods 1/Δf. Its rectified local maxima trace the envelope."""
-    t, fields, nu_min = _baseband_field(phasors, time_s)
+    t, fields, nu_min = _grid_field(phasors, time_s)
     return _carried(next(fields), t, nu_min + phasors.f_lo_hz).real
 
 
@@ -429,20 +440,55 @@ def probe_scene(u: float, range_m: float | None = None) -> Scene:
                                             range_m * uz)),))
 
 
-def _check_tunable(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
-                   grid_points: int) -> None:
-    """ValueError, naming the field, unless the comb can estimate on this
-    array, mixer LO and grid: the array is one the comb can tune
-    (_tuned_tones), the comb has the 2 tones the axis calibration needs,
-    duration_s is a whole number of envelope periods, the grid has at
-    least N samples per period (below that the tones share FFT bins and
-    the envelope gives wrong directions), and the tones mixed down by
-    f_lo_hz stay on the Δf lattice (_lattice_steps). Checked in that
-    order; runs no propagation or FFT.
+@dataclass(frozen=True, eq=False)
+class _Design:
+    """One design point of the estimator: what stays fixed from scene to
+    scene. Its key is the six inputs of the axis fit: array, comb, mixer LO,
+    phase sign, grid points and calibration range. It holds the tuned array
+    (each element's 1-based tone, tone frequency, baseband offset f − LO and
+    position), ν_min, the FFT bins and the (R, E) row twiddles of
+    _baseband_field (R rows of G/R points) and, once fitted, the
+    calibration. Only _gate makes one (and _calibrated a copy with the
+    fit), so a design point has passed the tunability rules. Its arrays
+    are read-only. They take 1,512 bytes at N = 21 on 4096 points and
+    38,400 bytes at N = 320 on 16384 points (4 rows); no G-length array
+    is kept."""
+
+    geometry: ArrayGeometry
+    comb: CombSpec
+    f_lo_hz: float
+    sign: PhaseSign
+    grid_points: int
+    reference_range_m: float | None
+    tones: np.ndarray
+    freqs_hz: np.ndarray
+    baseband_hz: np.ndarray
+    positions: np.ndarray
+    nu_min: float
+    bins: np.ndarray
+    twiddles: np.ndarray
+    calibration: AxisCalibration | None = None
+
+    @property
+    def key(self) -> tuple:
+        return (self.geometry, self.comb, self.f_lo_hz, self.sign,
+                self.grid_points, self.reference_range_m)
+
+
+def _gate(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
+          sign: PhaseSign, grid_points: int,
+          reference_range_m: float | None) -> _Design:
+    """The design point of these inputs. ValueError, naming the field,
+    unless the comb can synthesize on this array, mixer LO and grid: the
+    array is one the comb can tune (_tuned_tones), duration_s is a whole
+    number of envelope periods, the grid has at least N samples per period
+    (below that the tones share FFT bins and the envelope gives wrong
+    directions), and the tones mixed down by f_lo_hz stay on the Δf
+    lattice (_lattice_steps). Checked in that order; runs no propagation
+    or FFT. The 2 tones an axis fit needs are _calibrating's rule:
+    snr_gain fits no axis and takes one tone.
     """
-    _tuned_tones(geometry, comb)
-    if comb.num_tones < 2:
-        raise ValueError("comb.num_tones: axis calibration needs >= 2 tones")
+    tones = _tuned_tones(geometry, comb)
     try:
         periods = whole_periods(comb.duration_s, comb.delta_f_hz)
     except ValueError as e:
@@ -451,10 +497,19 @@ def _check_tunable(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     if grid_points < floor:
         raise ValueError(f"sim.grid_points: {grid_points} is below "
                          f"num_tones * periods = {floor}")
+    freqs = comb.tone_frequencies[tones - 1]
+    baseband = freqs - f_lo_hz
     try:
-        _lattice_steps(comb.tone_frequencies - f_lo_hz, comb.delta_f_hz)
+        nu_min, m = _lattice_steps(baseband, comb.delta_f_hz)
     except ValueError as e:
         raise ValueError(f"sim.lo_hz: {f_lo_hz!r}: {e}") from e
+    bins, twiddles = _fft_bins(m, periods, grid_points)
+    positions = element_positions_array(geometry)
+    for a in (tones, freqs, baseband, positions, bins, twiddles):
+        a.flags.writeable = False
+    return _Design(geometry, comb, f_lo_hz, sign, grid_points,
+                   reference_range_m, tones, freqs, baseband, positions,
+                   nu_min, bins, twiddles)
 
 
 def _fit_calibration(comb: CombSpec, probe_times,
@@ -469,47 +524,100 @@ def _fit_calibration(comb: CombSpec, probe_times,
                            delta_f_hz=comb.delta_f_hz)
 
 
-# The calibrations _calibrated fitted in this process, keyed on the inputs
-# of the fit: the time→u axis belongs to the array, comb, LO and grid, not
-# to the scene. At most _CALIBRATIONS_HELD, the oldest dropped first.
-_CALIBRATIONS: dict[tuple, AxisCalibration] = {}
+# The design points of this process, keyed on their inputs (_Design.key):
+# the time→u axis belongs to the array, comb, LO and grid, not to the
+# scene. At most _CALIBRATIONS_HELD, the oldest dropped first.
+_CALIBRATIONS: dict[tuple, _Design] = {}
 _CALIBRATIONS_HELD = 256
 
 
-def _calibrated(scenes, geometry: ArrayGeometry, comb: CombSpec,
-                f_lo_hz: float, sign: PhaseSign, grid_points: int,
-                reference_range_m: float | None):
-    """_check_tunable, then calibrate_axis's probes and ``scenes`` propagated
-    by one _phasor_stack and synthesized by one _baseband_field, and the
-    probes' peak times fitted: (calibration, the last scene's PhasorSet,
-    (t, fields, ν_min)), fields positioned at the first scene; without
-    scenes, (calibration, None, None). A calibration fitted before on equal
-    inputs in this process is remembered (_CALIBRATIONS, in memory; nothing
-    is written to disk), and then the probes are left out: only the scenes
-    are propagated and synthesized."""
-    _check_tunable(geometry, comb, f_lo_hz, grid_points)
+def _remember(design: _Design) -> _Design:
+    """Hold the design point in _CALIBRATIONS, the oldest dropped if full."""
+    if (design.key not in _CALIBRATIONS
+            and len(_CALIBRATIONS) >= _CALIBRATIONS_HELD):
+        del _CALIBRATIONS[next(iter(_CALIBRATIONS))]
+    _CALIBRATIONS[design.key] = design
+    return design
+
+
+def _design_point(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
+                  sign: PhaseSign, grid_points: int,
+                  reference_range_m: float | None) -> _Design:
+    """The design point of these inputs: the one remembered in
+    _CALIBRATIONS, else a new one from _gate, then remembered. The memo is
+    read before the gate: what it holds passed the gate, and what fails
+    is never held. The gate runs once per design point per process while
+    the memo holds it."""
     key = (geometry, comb, f_lo_hz, sign, grid_points, reference_range_m)
-    calibration = _CALIBRATIONS.get(key)
+    design = _CALIBRATIONS.get(key)
+    return design if design is not None else _remember(_gate(*key))
+
+
+def _design_of(geometry: ArrayGeometry, comb: CombSpec,
+               config: SimConfig) -> _Design:
+    """_design_point of run_beamform's inputs."""
+    return _design_point(geometry, comb, config.lo_for(comb),
+                         config.phase_sign, config.grid_points,
+                         config.calibration_range_m)
+
+
+def _calibrating(design: _Design) -> _Design:
+    """The design point, if its comb has the 2 tones an axis fit needs;
+    else ValueError naming comb.num_tones."""
+    if design.comb.num_tones < 2:
+        raise ValueError("comb.num_tones: axis calibration needs >= 2 tones")
+    return design
+
+
+def _synthesized(scenes, design: _Design):
+    """``scenes`` propagated by one _phasor_stack on the design point's
+    tuned array and synthesized by one _baseband_field on its grid,
+    default_time_grid (uniform by construction, so not checked again):
+    (the last scene's PhasorSet, t, fields)."""
+    comb = design.comb
+    amps = _phasor_stack(scenes, design.positions, design.freqs_hz,
+                         design.sign, comb.amplitude)
+    t = default_time_grid(comb, design.grid_points)
+    return (PhasorSet(amps[-1], design.tones, design.baseband_hz,
+                      design.f_lo_hz, comb.delta_f_hz), t,
+            _baseband_field(amps, design.bins, design.twiddles, t.size))
+
+
+def _calibrated(scenes, design: _Design):
+    """calibrate_axis's probes, unless the design point holds its fitted
+    calibration, and ``scenes``, by one _synthesized, the probes' peak
+    times fitted: (calibration, the last scene's PhasorSet, t, fields),
+    fields positioned at the first scene; without scenes, (calibration,
+    None, None, None). The fit is kept with its design point in
+    _CALIBRATIONS (in memory; nothing is written to disk), so a repeat
+    estimate runs no gate, builds no tuned array, bins or twiddles, and
+    propagates and synthesizes only its scenes. A held design point takes
+    1.5 kB at N = 21 and 38 kB at N = 320 (see _Design)."""
+    calibration = _calibrating(design).calibration
     probes = () if calibration is not None else tuple(
         # u = 0.5, after u = 0 for point sources (a boresight plane wave's
         # peak time is known in closed form)
-        probe_scene(u, reference_range_m)
-        for u in ((0.5,) if reference_range_m is None else (0.0, 0.5)))
+        probe_scene(u, design.reference_range_m)
+        for u in ((0.5,) if design.reference_range_m is None else (0.0, 0.5)))
     if not (probes or scenes):
-        return calibration, None, None
-    phasors, amps = _phasor_stack((*probes, *scenes), geometry, comb,
-                                  f_lo_hz, sign)
-    t, fields, nu_min = _baseband_field(
-        phasors, default_time_grid(comb, grid_points), amps)
+        return calibration, None, None, None
+    phasors, t, fields = _synthesized((*probes, *scenes), design)
     if probes:
-        calibration = _fit_calibration(
-            comb, _peak_times(fields, t, len(probes)), reference_range_m)
-        if len(_CALIBRATIONS) >= _CALIBRATIONS_HELD:
-            del _CALIBRATIONS[next(iter(_CALIBRATIONS))]
-        _CALIBRATIONS[key] = calibration
+        calibration = _fit_calibration(design.comb,
+                                       _peak_times(fields, t, len(probes)),
+                                       design.reference_range_m)
+        _remember(replace(design, calibration=calibration))
     if not scenes:
-        return calibration, None, None
-    return calibration, phasors, (t, fields, nu_min)
+        return calibration, None, None, None
+    return calibration, phasors, t, fields
+
+
+def _scene_field(scene: Scene, design: _Design):
+    """(PhasorSet, t, field): periodic_field of the scene's phasors on the
+    design point's grid, by _synthesized, with no calibration. Serves
+    snr_gain."""
+    phasors, t, fields = _synthesized((scene,), design)
+    return phasors, t, _carried(next(fields), t, design.nu_min)
 
 
 def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
@@ -527,13 +635,16 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
     The probes are synthesized by one call on default_time_grid(comb,
     grid_points) and their peak times read together by _calibrated, which
-    run_beamform shares. The fit is remembered for the rest of the process
-    (in memory only; nothing is written to disk), so a repeat call with
-    equal arguments synthesizes nothing. ValueError, naming the field,
-    first for what _check_tunable rejects.
+    run_beamform shares. The arguments make one design point (_Design):
+    the tuned array, FFT bins and twiddles, checked once by the tunability
+    gate. It is kept with its fit for the rest of the process (in memory
+    only, 1.5 kB at N = 21 and 38 kB at N = 320; nothing is written to
+    disk), so a repeat call with equal
+    arguments runs no gate and synthesizes nothing. ValueError, naming the
+    field, first for what the gate (_gate) rejects.
     """
-    return _calibrated((), geometry, comb, f_lo_hz, sign, grid_points,
-                       reference_range_m)[0]
+    return _calibrated((), _design_point(geometry, comb, f_lo_hz, sign,
+                                         grid_points, reference_range_m))[0]
 
 
 @dataclass(frozen=True)
@@ -589,15 +700,19 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
 
     calibrate_axis's probes, then the scene, are propagated and synthesized
     by one call (_calibrated), and the scene's field is read as
-    beamform_envelope reads it, with config.noise (trial 0). Calibrations
-    are remembered per process, in memory only: a repeat estimate on an
-    equal array, comb, LO, phase sign, grid and calibration range
-    propagates and synthesizes only its scene.
+    beamform_envelope reads it, with config.noise (trial 0). The array,
+    comb, LO, phase sign, grid and calibration range make one design point
+    (_Design): the tuned array, FFT bins and twiddles, built and checked by
+    the tunability gate once per process, and the calibration once fitted.
+    At most 256 are held, in memory only: 1.5 kB of arrays each at N = 21
+    on 4096 points, 38 kB at N = 320 on 16384 points. A repeat estimate
+    on an equal design point runs no gate and fits nothing: it propagates
+    and synthesizes only its scene.
     """
-    calibration, phasors, (grid, fields, nu_min) = _calibrated(
-        (scene,), geometry, comb, config.lo_for(comb), config.phase_sign,
-        config.grid_points, config.calibration_range_m)
-    env = _envelope(next(fields), grid, nu_min, len(phasors), config.noise, 0)
+    design = _design_of(geometry, comb, config)
+    calibration, phasors, grid, fields = _calibrated((scene,), design)
+    env = _envelope(next(fields), grid, design.nu_min, len(phasors),
+                    config.noise, 0)
     out = BeamformOutput(time_s=grid, envelope=env, calibration=calibration,
                          phasors=phasors)
     out.peaks = find_peaks(out, config.threshold_fraction,

@@ -254,19 +254,18 @@ def scene_element_phasors(scene: Scene, geometry: ArrayGeometry,
     post-mixer baseband frequency of each phasor; the amplitudes do not
     depend on it, and beamform_rf gives one RF trace at any LO.
     """
-    return _phasor_stack((scene,), geometry, comb, f_lo_hz, sign)[0]
-
-
-def _phasor_stack(scenes, geometry: ArrayGeometry, comb: CombSpec,
-                  f_lo_hz: float,
-                  sign: PhaseSign) -> tuple[PhasorSet, np.ndarray]:
-    """scene_element_phasors for K scenes on the array tuned once: the last
-    scene's PhasorSet, whose tones and baseband_hz every scene shares, and
-    the (K, E) element amplitudes of all K scenes."""
     tones = _tuned_tones(geometry, comb)
     freqs = comb.tone_frequencies[tones - 1]
-    positions = element_positions_array(geometry)
-    amps = comb.amplitude * np.array(
-        [element_field(scene, positions, freqs, sign) for scene in scenes])
-    return PhasorSet(amps[-1], tones, freqs - f_lo_hz, f_lo_hz,
-                     comb.delta_f_hz), amps
+    amps = _phasor_stack((scene,), element_positions_array(geometry), freqs,
+                         sign, comb.amplitude)
+    return PhasorSet(amps[0], tones, freqs - f_lo_hz, f_lo_hz,
+                     comb.delta_f_hz)
+
+
+def _phasor_stack(scenes, positions: np.ndarray, freqs_hz: np.ndarray,
+                  sign: PhaseSign, amplitude: float) -> np.ndarray:
+    """scene_element_phasors' amplitudes for K scenes on one tuned array:
+    the (K, E) coherent sums ``amplitude``·element_field, element e at
+    ``positions[e]`` listening at ``freqs_hz[e]``."""
+    return amplitude * np.array(
+        [element_field(scene, positions, freqs_hz, sign) for scene in scenes])

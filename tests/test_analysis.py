@@ -363,6 +363,8 @@ _ESTIMATORS = {
                                                         c.comb, sim),
     "nearfield_error_sweep": lambda c, sim: nearfield_error_sweep(
         -45.0, [8.4853], c.geometry, c.comb, sim),
+    "snr_gain": lambda c, sim: snr_gain(c.scene, c.geometry, c.comb, 1.0,
+                                        trials=2, config=sim),
 }
 
 
@@ -374,6 +376,15 @@ def test_estimators_reject_a_grid_below_the_tone_floor(name):
     with pytest.raises(ValueError, match=r"^sim\.grid_points: 16 is below "
                                          r"num_tones \* periods = 21"):
         _ESTIMATORS[name](cfg, replace(cfg.sim, grid_points=16))
+
+
+@pytest.mark.parametrize("name", _ESTIMATORS)
+def test_estimators_name_an_lo_off_the_tone_lattice(name):
+    # f − LO at 1e18 Hz rounds the tones off the 0.2 MHz lattice; snr_gain
+    # once raised a message that named no field
+    cfg = load_config_file(scenario_path("single_source"))
+    with pytest.raises(ValueError, match=r"^sim\.lo_hz: 1e\+18: "):
+        _ESTIMATORS[name](cfg, replace(cfg.sim, lo_hz=1.0e18))
 
 
 def test_run_beamform_rejects_a_partial_period_comb():

@@ -25,6 +25,8 @@ from combbeam.kspace import (
 )
 from combbeam.propagation import scene_element_phasors
 
+from scenario_yaml import dump
+
 BUNDLED = ("single_source", "three_sources", "oblique_map",
            "oblique_map_mirrored", "boresight_curvature")
 
@@ -42,7 +44,15 @@ def test_bundled_scenarios_round_trip(name):
     text = scenario_path(name).read_text()
     cfg = parse_config(text)
     assert parse_config(text) == cfg
-    assert parse_config(yaml.safe_dump(yaml.safe_load(text))) == cfg
+    assert parse_config(dump(yaml.safe_load(text))) == cfg
+
+
+def test_a_dumped_string_that_reads_as_a_number_round_trips():
+    # yaml.safe_dump writes "1e5" plain, which parse_config reads as the
+    # YAML 1.2 float 100000.0 and rejects as output.directory
+    data = yaml.safe_load(scenario_path("single_source").read_text())
+    data["output"] = {"directory": "1e5"}
+    assert parse_config(dump(data)).output_directory == "1e5"
 
 
 def test_scenario_path_unknown_name():
@@ -73,7 +83,7 @@ def test_parse_rejects_bad_values():
         data = yaml.safe_load(text)
         mutate(data)
         with pytest.raises(ConfigError):
-            parse_config(yaml.safe_dump(data))
+            parse_config(dump(data))
 
     rejects(lambda c: c["comb"].__setitem__("num_tones", "21"))
     rejects(lambda c: c["comb"].__setitem__("num_tones", True))
@@ -191,7 +201,7 @@ def test_phase_map_of_several_sources_is_a_config_error(tmp_path, capsys,
     data["output"] = {"emit_phase_map": True}
     data["sources"] = data["sources"][:1] + [{"position": [1.0, 0.0, 5.0]}]
     cfg = tmp_path / "map.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     assert main([command, "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("config error: sources")
@@ -215,7 +225,7 @@ def test_sweep_point_without_a_peak_is_named(tmp_path, capsys):
     data = yaml.safe_load(scenario_path("single_source").read_text())
     data["sources"][0]["amplitude"] = 0.0
     cfg = tmp_path / "silent.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
                  "--param", "range_m", "--values", "2,4"]) == 2
     assert "sweep point range_m=2.0: no peak found" in capsys.readouterr().err
@@ -378,7 +388,7 @@ def test_zero_comb_amplitude_is_a_config_error(tmp_path, capsys, command):
     data = yaml.safe_load(scenario_path("single_source").read_text())
     data["comb"]["amplitude"] = 0.0
     cfg = tmp_path / "silent.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -459,7 +469,7 @@ def test_bad_sim_field_is_a_config_error(tmp_path, capsys, field, value):
     data = yaml.safe_load(scenario_path("three_sources").read_text())
     data["sim"][field] = value
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     assert field in capsys.readouterr().err
@@ -471,7 +481,7 @@ def test_threshold_fraction_of_one_is_a_config_error(tmp_path, capsys):
     data = yaml.safe_load(scenario_path("single_source").read_text())
     data["sim"]["threshold_fraction"] = 1.0
     cfg = tmp_path / "threshold.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -487,7 +497,7 @@ def test_negative_f0_without_an_lo_names_sim_lo_hz():
     data["comb"]["f0_hz"] = -100000.0
     del data["sim"]["lo_hz"]
     with pytest.raises(ConfigError, match=r"^sim\.lo_hz: "):
-        parse_config(yaml.safe_dump(data))
+        parse_config(dump(data))
 
 
 @pytest.mark.parametrize("lo, rc", [("1.0e+18", 1), ("1.0e+17", 0)])
@@ -542,7 +552,7 @@ def test_grid_coarser_than_the_tones_is_a_config_error(tmp_path, capsys,
     data["comb"]["duration_s"] = 0.000015
     data["sim"]["grid_points"] = 3
     cfg = tmp_path / "coarse.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -570,7 +580,7 @@ def test_untunable_array_is_a_config_error(tmp_path, capsys, args, name,
     for (section, key), value in edits.items():
         data[section][key] = value
     cfg = tmp_path / "untunable.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     assert main([args[0], "--config", str(cfg), "--out", str(tmp_path / "out"),
                  *args[1:]]) == 1
     err = capsys.readouterr().err
@@ -626,6 +636,30 @@ def test_each_command_synthesizes_once_per_estimate(tmp_path, monkeypatch,
     assert main([args[0], "--config", str(scenario_path("single_source")),
                  "--out", str(tmp_path), *args[1:]]) == 0
     assert len(count) == syntheses
+
+
+@pytest.mark.parametrize("args, gates", [
+    (["simulate"], 1),
+    (["sweep", "--param", "range_m", "--values", "2,8,32"], 3),
+    (["calibrate"], 1),
+])
+def test_each_command_gates_each_design_point_once(tmp_path, monkeypatch,
+                                                   args, gates):
+    # simulate and sweep check their design points before they estimate,
+    # and each estimate then finds its point remembered
+    from combbeam import kspace
+
+    gate = kspace._gate
+    count = []
+
+    def counted(*a, **kw):
+        count.append(a)
+        return gate(*a, **kw)
+
+    monkeypatch.setattr(kspace, "_gate", counted)
+    assert main([args[0], "--config", str(scenario_path("single_source")),
+                 "--out", str(tmp_path), *args[1:]]) == 0
+    assert len(count) == gates
 
 
 def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):
@@ -704,7 +738,7 @@ def test_calibrate_probes_match_the_find_peaks_read(tmp_path, capsys, name,
     if range_m is not None:
         data["sim"]["calibration_range_m"] = range_m
     cfg = tmp_path / "cal.yaml"
-    cfg.write_text(yaml.safe_dump(data))
+    cfg.write_text(dump(data))
     assert main(["calibrate", "--config", str(cfg)]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("probe")]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,72 @@ def test_an_lo_off_the_tone_lattice_is_rejected_before_the_memo(demo_comb,
     assert kspace._CALIBRATIONS == {}
     calibrate_axis(demo_geometry, demo_comb, 1.0e17)
     assert len(kspace._CALIBRATIONS) == 1
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"geometry": linear_array(20, D21)}, "array.m"),
+    ({"geometry": planar_array(21, 2, D21, D21)}, "array.kind"),
+    ({"comb": CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=21,
+                       duration_s=7.3e-6)}, "comb.duration_s"),
+    ({"config": SimConfig(lo_hz=19.0e9, grid_points=16)}, "sim.grid_points"),
+    ({"config": SimConfig(lo_hz=1.0e18)}, "sim.lo_hz"),
+])
+def test_a_design_point_the_gate_rejects_is_never_remembered(change, field):
+    scene, geom, comb, config = _demo_estimate()
+    inputs = {"geometry": geom, "comb": comb, "config": config, **change}
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b"):
+            run_beamform(scene, inputs["geometry"], inputs["comb"],
+                         inputs["config"])
+        assert kspace._CALIBRATIONS == {}
+
+
+def test_the_gate_runs_once_per_design_point(monkeypatch):
+    gates = _counted(monkeypatch, "_gate")
+    scene, geom, comb, config = _demo_estimate()
+    run_beamform(scene, geom, comb, config)
+    # equal inputs, fresh objects: the memo is read before the gate
+    run_beamform(*_demo_estimate())
+    assert calibrate_axis(geom, comb, 19.0e9) is not None
+    assert len(gates) == 1
+    run_beamform(scene, geom, comb, SimConfig(lo_hz=19.0e9, grid_points=4097))
+    run_beamform(scene, geom, comb, SimConfig(lo_hz=19.0e9, grid_points=4097))
+    assert len(gates) == 2
+    # a design point the memo no longer holds passes the gate again
+    kspace._CALIBRATIONS.clear()
+    run_beamform(scene, geom, comb, config)
+    assert len(gates) == 3
+
+
+@pytest.mark.parametrize("tuning_order, config", [
+    # four rows of 4096 points
+    ("descending", SimConfig(lo_hz=19.0e9, grid_points=16384)),
+    ("ascending", SimConfig(lo_hz=19.0e9, calibration_range_m=10.0)),
+    ("descending", SimConfig(lo_hz=19.0e9, grid_points=16384,
+                             phase_sign=PhaseSign.ADVANCE,
+                             calibration_range_m=7.0,
+                             noise=NoiseSpec(sigma=0.5, seed=3))),
+])
+def test_a_warm_estimate_equals_a_cold_one(monkeypatch, tuning_order, config):
+    scene, _, comb, _ = _demo_estimate()
+    geom = linear_array(21, D21, tuning_order=tuning_order)
+    cold = run_beamform(scene, geom, comb, config)
+    fits = _counted(monkeypatch, "_fit_calibration")
+    warm = run_beamform(scene, linear_array(21, D21,
+                                            tuning_order=tuning_order),
+                        comb, config)
+    assert fits == []
+    assert np.array_equal(warm.time_s, cold.time_s)
+    assert np.array_equal(warm.envelope, cold.envelope)
+    assert warm.peaks == cold.peaks and len(cold.peaks) == 2
+    assert warm.calibration == cold.calibration
+    for name in ("amplitudes", "tones", "baseband_hz"):
+        assert np.array_equal(getattr(warm.phasors, name),
+                              getattr(cold.phasors, name))
+    assert calibrate_axis(geom, comb, config.lo_for(comb), config.phase_sign,
+                          config.grid_points,
+                          config.calibration_range_m) == cold.calibration
+    assert fits == []
 
 
 def test_quadratic_peak_recovers_parabola_vertex():

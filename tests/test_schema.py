@@ -14,12 +14,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combbeam import cli
+from combbeam import cli, kspace
 from combbeam.geometry import ArrayGeometry
-from combbeam.kspace import (AxisCalibration, SimConfig, _check_tunable,
-                             calibrate_axis)
+from combbeam.kspace import AxisCalibration, SimConfig, calibrate_axis
 from combbeam.propagation import NoiseSpec
 from combbeam.waveform import CombSpec
+
+from scenario_yaml import dump
 
 PATHS = {f"{s}.{key}" for s, kinds in cli._SCHEMA.items() if s != "config"
          for key in kinds}
@@ -140,7 +141,7 @@ def test_drawn_documents_exit_0_or_name_a_field(doc):
     # direction with exit 0
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "drawn.yaml"
-        cfg.write_text(yaml.safe_dump(doc))
+        cfg.write_text(dump(doc))
         for command in ("simulate", "calibrate"):
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
@@ -158,17 +159,22 @@ def test_drawn_documents_exit_0_or_name_a_field(doc):
 @settings(max_examples=60, deadline=None)
 @given(doc=documents())
 def test_the_tunability_gate_is_complete(doc):
-    # the gate runs no calibration, so what it passes must calibrate, and
-    # what it rejects it must name
+    # the design point's constructor runs no calibration, so what it passes
+    # must calibrate, and what it rejects it must name
     try:
-        config = cli.parse_config(yaml.safe_dump(doc))
+        config = cli.parse_config(dump(doc))
     except cli.ConfigError:
         return
     comb, geometry, sim = config.comb, config.geometry, config.sim
+    kspace._CALIBRATIONS.clear()
     try:
-        _check_tunable(geometry, comb, sim.lo_for(comb), sim.grid_points)
+        kspace._calibrating(kspace._design_of(geometry, comb, sim))
     except ValueError as e:
-        assert _named(str(e)) in PATHS, str(e)
+        named = _named(str(e))
+        assert named in PATHS, str(e)
+        # the gate remembers no point it rejects; one tone passes the gate
+        # and fails only the axis fit's rule
+        assert len(kspace._CALIBRATIONS) == (named == "comb.num_tones")
         return
     cal = calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
                          sim.grid_points, sim.calibration_range_m)

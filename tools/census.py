@@ -12,6 +12,13 @@ returns. ``--diff`` lists the records that differ and, for each numeric
 column that moved, the largest absolute and relative difference. It
 exits 0 whether or not records differ.
 
+Each output is taken twice: cold, with no design point remembered
+(``kspace._CALIBRATIONS`` cleared), then warm, with the design points and
+calibrations the cold run left. The record is the cold one. A warm
+record that differs from it is a fault of the memo: the record then names
+the fields that moved under ``warm_differs``, and the census exits 1
+after writing every record.
+
 ``--src`` is the source tree combbeam is imported from (default: the
 ``src/`` next to this tool), so one script can take the census of two
 checkouts. FFT rounding may differ between numpy builds: compare only
@@ -42,6 +49,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -90,6 +98,23 @@ def _record(name: str, code: int, stdout: str, stderr: str,
             "stderr": _sha(stderr), "files": files, "values": values}
 
 
+def _cold_and_warm(take_record):
+    """Take the record cold and warm (see the module docstring)."""
+    @functools.wraps(take_record)
+    def both(*args, **kwargs) -> dict:
+        from combbeam import kspace
+
+        kspace._CALIBRATIONS.clear()
+        cold = take_record(*args, **kwargs)
+        warm = take_record(*args, **kwargs)
+        moved = [k for k in cold
+                 if json.dumps(cold[k]) != json.dumps(warm[k])]
+        if moved:
+            cold["warm_differs"] = moved
+        return cold
+    return both
+
+
 def _csv_values(fname: str, text: str, values: dict) -> None:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
@@ -101,6 +126,7 @@ def _csv_values(fname: str, text: str, values: dict) -> None:
             pass
 
 
+@_cold_and_warm
 def _cli(name: str, scenario: str, command: str, *args: str,
          edit=None) -> dict:
     """One CLI command on a bundled scenario, edited by ``edit(doc)``."""
@@ -129,6 +155,7 @@ def _cli(name: str, scenario: str, command: str, *args: str,
     return _record(name, code, text, err, files, values)
 
 
+@_cold_and_warm
 def _call(name: str, fn) -> dict:
     """One library call; a raised exception is exit 1 with its repr."""
     try:
@@ -254,14 +281,19 @@ def take(src: Path, out: Path) -> int:
         print(f"census: combbeam imported from {where}, not {src}",
               file=sys.stderr)
         return 2
-    count = 0
+    count, warm_differs = 0, []
     with open(out, "w") as fh:
         for group in (cli_records, library_records, workload_records):
             for record in group():
                 fh.write(json.dumps(record) + "\n")
                 count += 1
+                if "warm_differs" in record:
+                    warm_differs.append(record)
     print(f"census: {count} records of {where.parent} written to {out}")
-    return 0
+    for record in warm_differs:
+        print(f"census: {record['name']}: warm differs from cold in "
+              f"{', '.join(record['warm_differs'])}", file=sys.stderr)
+    return 1 if warm_differs else 0
 
 
 def _load(path: Path) -> dict:
