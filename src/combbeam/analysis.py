@@ -22,7 +22,6 @@ from .kspace import (
     BeamformOutput,
     Peak,
     SimConfig,
-    _baseband_field,
     _calibrated,
     _design_of,
     _design_point,
@@ -32,6 +31,7 @@ from .kspace import (
     _quadratic_peak,
     _scene_field,
     _sweep_step,
+    _synthesized,
     _thin_peaks,
     complex_field,
     peak_width_u,
@@ -39,8 +39,7 @@ from .kspace import (
     time_to_u,
     u_to_azimuth,
 )
-from .propagation import (NoiseSpec, PhaseSign, PhasorSet, _phasor_stack,
-                          summed_noise)
+from .propagation import NoiseSpec, PhaseSign, PhasorSet, summed_noise
 from .waveform import CombSpec, wavelength
 
 __all__ = [
@@ -258,8 +257,8 @@ def snr_gain(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
 
     # cell_samples spans 4/N in u (2/(N·Δf) in t); dropping 2·cell_samples
     # on each side of the peak excludes ±8/N, 4 cells of 2/N
-    cell_samples = max(1, round(2.0 / (comb.num_tones * comb.delta_f_hz)
-                                / (comb.duration_s / config.grid_points)))
+    cell_samples = round(2.0 / (comb.num_tones * comb.delta_f_hz)
+                         / (comb.duration_s / config.grid_points))
     dist = np.abs(np.arange(n) - i_peak)
     kept = np.flatnonzero(np.minimum(dist, n - dist) > 2 * cell_samples)
     if kept.size == 0:
@@ -311,20 +310,18 @@ def peak_time_report(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     Each sign's peak time is the quadratic-vertex refinement of the largest
     sample of the FFT envelope on default_time_grid(comb,
     config.grid_points), reduced modulo the period 1/Δf. The delay scene
-    shares the calibration's synthesis (kspace._calibrated).
+    shares the calibration's synthesis (kspace._calibrated); the advance
+    scene is synthesized on its own design point (the probes are delayed).
     brute_force_peak is the dense oracle it is tested against.
     """
-    design = _design_point(geometry, comb, config.lo_for(comb),
-                           PhaseSign.DELAY, config.grid_points,
-                           config.calibration_range_m)
-    cal, _, grid, fields = _calibrated((scene,), design)
-    # the advance sign needs its own propagation: the probes are delayed
-    advance = _phasor_stack((scene,), design.positions, design.freqs_hz,
-                            PhaseSign.ADVANCE, comb.amplitude)
+    delay, advance = (
+        _design_point(geometry, comb, config.lo_for(comb), sign,
+                      config.grid_points, config.calibration_range_m)
+        for sign in (PhaseSign.DELAY, PhaseSign.ADVANCE))
+    cal, _, grid, fields = _calibrated((scene,), delay)
     delay_t, advance_t = (
         float(_peak_times(f, grid, 1)[0]) % comb.period_s
-        for f in (fields, _baseband_field(advance, design.bins,
-                                          design.twiddles, grid.size)))
+        for f in (fields, _synthesized((scene,), advance)[2]))
     u = float(time_to_u(cal, delay_t))
     return PeakTimeReport(
         delay_peak_time_s=delay_t,

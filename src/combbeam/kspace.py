@@ -9,8 +9,9 @@ time to u; peaks then land at u = sin(azimuth).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -440,21 +441,18 @@ def probe_scene(u: float, range_m: float | None = None) -> Scene:
                                             range_m * uz)),))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Design:
     """One design point of the estimator: what stays fixed from scene to
-    scene. Its key is the six inputs of the axis fit: array, comb, mixer LO,
-    phase sign, grid points and calibration range. It holds the tuned array
-    (each element's 1-based tone, tone frequency, baseband offset f − LO and
-    position), ν_min, the FFT bins and the (R, E) row twiddles of
-    _baseband_field (R rows of G/R points) and, once fitted, the
-    calibration. Only _gate makes one (and _calibrated a copy with the
-    fit), so a design point has passed the tunability rules. Its arrays
-    are read-only. They take 1,512 bytes at N = 21 on 4096 points and
-    38,400 bytes at N = 320 on 16384 points (4 rows); no G-length array
-    is kept."""
+    scene, made only by _design_point, so it has passed the tunability
+    rules. It holds the comb, mixer LO, phase sign, grid points and
+    calibration range, the tuned array (each element's 1-based tone, tone
+    frequency, baseband offset f − LO and position), ν_min, the FFT bins
+    and the (R, E) row twiddles of _baseband_field (R rows of G/R points)
+    and, once fitted, the calibration. Its arrays are read-only. They take
+    1,512 bytes at N = 21 on 4096 points and 38,400 bytes at N = 320 on
+    16384 points (4 rows); no G-length array is kept."""
 
-    geometry: ArrayGeometry
     comb: CombSpec
     f_lo_hz: float
     sign: PhaseSign
@@ -469,24 +467,23 @@ class _Design:
     twiddles: np.ndarray
     calibration: AxisCalibration | None = None
 
-    @property
-    def key(self) -> tuple:
-        return (self.geometry, self.comb, self.f_lo_hz, self.sign,
-                self.grid_points, self.reference_range_m)
 
-
-def _gate(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
-          sign: PhaseSign, grid_points: int,
-          reference_range_m: float | None) -> _Design:
-    """The design point of these inputs. ValueError, naming the field,
-    unless the comb can synthesize on this array, mixer LO and grid: the
-    array is one the comb can tune (_tuned_tones), duration_s is a whole
-    number of envelope periods, the grid has at least N samples per period
-    (below that the tones share FFT bins and the envelope gives wrong
-    directions), and the tones mixed down by f_lo_hz stay on the Δf
-    lattice (_lattice_steps). Checked in that order; runs no propagation
-    or FFT. The 2 tones an axis fit needs are _calibrating's rule:
-    snr_gain fits no axis and takes one tone.
+@functools.lru_cache(maxsize=256)
+def _design_point(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
+                  sign: PhaseSign, grid_points: int,
+                  reference_range_m: float | None) -> _Design:
+    """The design point of these inputs, the 256 most recently used held
+    for the process (the time→u axis belongs to the array, comb, LO and
+    grid, not to the scene). ValueError, naming the field, unless the comb
+    can synthesize on this array, mixer LO and grid: the array is one the
+    comb can tune (_tuned_tones), duration_s is a whole number of envelope
+    periods, the grid has at least N samples per period (below that the
+    tones share FFT bins and the envelope gives wrong directions), and the
+    tones mixed down by f_lo_hz stay on the Δf lattice (_lattice_steps).
+    Checked in that order; runs no propagation or FFT, and lru_cache holds
+    no exception, so a point that fails is never held. The 2 tones an axis
+    fit needs are _calibrating's rule: snr_gain fits no axis and takes one
+    tone.
     """
     tones = _tuned_tones(geometry, comb)
     try:
@@ -507,9 +504,8 @@ def _gate(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     positions = element_positions_array(geometry)
     for a in (tones, freqs, baseband, positions, bins, twiddles):
         a.flags.writeable = False
-    return _Design(geometry, comb, f_lo_hz, sign, grid_points,
-                   reference_range_m, tones, freqs, baseband, positions,
-                   nu_min, bins, twiddles)
+    return _Design(comb, f_lo_hz, sign, grid_points, reference_range_m,
+                   tones, freqs, baseband, positions, nu_min, bins, twiddles)
 
 
 def _fit_calibration(comb: CombSpec, probe_times,
@@ -522,35 +518,6 @@ def _fit_calibration(comb: CombSpec, probe_times,
         float(wrap_unit(s * 2.0 * comb.delta_f_hz * (t_half - t0))) - 0.5))
     return AxisCalibration(slope_sign=best_sign, t0_s=t0,
                            delta_f_hz=comb.delta_f_hz)
-
-
-# The design points of this process, keyed on their inputs (_Design.key):
-# the time→u axis belongs to the array, comb, LO and grid, not to the
-# scene. At most _CALIBRATIONS_HELD, the oldest dropped first.
-_CALIBRATIONS: dict[tuple, _Design] = {}
-_CALIBRATIONS_HELD = 256
-
-
-def _remember(design: _Design) -> _Design:
-    """Hold the design point in _CALIBRATIONS, the oldest dropped if full."""
-    if (design.key not in _CALIBRATIONS
-            and len(_CALIBRATIONS) >= _CALIBRATIONS_HELD):
-        del _CALIBRATIONS[next(iter(_CALIBRATIONS))]
-    _CALIBRATIONS[design.key] = design
-    return design
-
-
-def _design_point(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
-                  sign: PhaseSign, grid_points: int,
-                  reference_range_m: float | None) -> _Design:
-    """The design point of these inputs: the one remembered in
-    _CALIBRATIONS, else a new one from _gate, then remembered. The memo is
-    read before the gate: what it holds passed the gate, and what fails
-    is never held. The gate runs once per design point per process while
-    the memo holds it."""
-    key = (geometry, comb, f_lo_hz, sign, grid_points, reference_range_m)
-    design = _CALIBRATIONS.get(key)
-    return design if design is not None else _remember(_gate(*key))
 
 
 def _design_of(geometry: ArrayGeometry, comb: CombSpec,
@@ -588,11 +555,9 @@ def _calibrated(scenes, design: _Design):
     calibration, and ``scenes``, by one _synthesized, the probes' peak
     times fitted: (calibration, the last scene's PhasorSet, t, fields),
     fields positioned at the first scene; without scenes, (calibration,
-    None, None, None). The fit is kept with its design point in
-    _CALIBRATIONS (in memory; nothing is written to disk), so a repeat
-    estimate runs no gate, builds no tuned array, bins or twiddles, and
-    propagates and synthesizes only its scenes. A held design point takes
-    1.5 kB at N = 21 and 38 kB at N = 320 (see _Design)."""
+    None, None, None). The fit is recorded on the design point, so a
+    repeat estimate on an equal one propagates and synthesizes only its
+    scenes."""
     calibration = _calibrating(design).calibration
     probes = () if calibration is not None else tuple(
         # u = 0.5, after u = 0 for point sources (a boresight plane wave's
@@ -603,10 +568,9 @@ def _calibrated(scenes, design: _Design):
         return calibration, None, None, None
     phasors, t, fields = _synthesized((*probes, *scenes), design)
     if probes:
-        calibration = _fit_calibration(design.comb,
-                                       _peak_times(fields, t, len(probes)),
-                                       design.reference_range_m)
-        _remember(replace(design, calibration=calibration))
+        calibration = design.calibration = _fit_calibration(
+            design.comb, _peak_times(fields, t, len(probes)),
+            design.reference_range_m)
     if not scenes:
         return calibration, None, None, None
     return calibration, phasors, t, fields
@@ -635,13 +599,10 @@ def calibrate_axis(geometry: ArrayGeometry, comb: CombSpec, f_lo_hz: float,
     plane-wave calibration sets t0 = 0 and simulates only the u = 0.5 probe.
     The probes are synthesized by one call on default_time_grid(comb,
     grid_points) and their peak times read together by _calibrated, which
-    run_beamform shares. The arguments make one design point (_Design):
-    the tuned array, FFT bins and twiddles, checked once by the tunability
-    gate. It is kept with its fit for the rest of the process (in memory
-    only, 1.5 kB at N = 21 and 38 kB at N = 320; nothing is written to
-    disk), so a repeat call with equal
-    arguments runs no gate and synthesizes nothing. ValueError, naming the
-    field, first for what the gate (_gate) rejects.
+    run_beamform shares. The arguments make one design point
+    (_design_point), held in memory with its fit, so a repeat call with
+    equal arguments synthesizes nothing. ValueError, naming the field,
+    first for what the design point's tunability rules reject.
     """
     return _calibrated((), _design_point(geometry, comb, f_lo_hz, sign,
                                          grid_points, reference_range_m))[0]
@@ -702,12 +663,9 @@ def run_beamform(scene: Scene, geometry: ArrayGeometry, comb: CombSpec,
     by one call (_calibrated), and the scene's field is read as
     beamform_envelope reads it, with config.noise (trial 0). The array,
     comb, LO, phase sign, grid and calibration range make one design point
-    (_Design): the tuned array, FFT bins and twiddles, built and checked by
-    the tunability gate once per process, and the calibration once fitted.
-    At most 256 are held, in memory only: 1.5 kB of arrays each at N = 21
-    on 4096 points, 38 kB at N = 320 on 16384 points. A repeat estimate
-    on an equal design point runs no gate and fits nothing: it propagates
-    and synthesizes only its scene.
+    (_design_point): the tuned array, FFT bins and twiddles, and the
+    calibration once fitted. A repeat estimate on an equal design point
+    fits nothing: it propagates and synthesizes only its scene.
     """
     design = _design_of(geometry, comb, config)
     calibration, phasors, grid, fields = _calibrated((scene,), design)

@@ -11,9 +11,29 @@ D21 = SPEED_OF_LIGHT / (2.0 * 19.005e9)
 
 @pytest.fixture(autouse=True)
 def no_remembered_calibrations():
-    """Every test starts with no calibration remembered from an earlier one
-    (kspace._CALIBRATIONS), so what it counts does not depend on order."""
-    kspace._CALIBRATIONS.clear()
+    """Every test starts with no design point or calibration remembered
+    from an earlier one (kspace._design_point's cache, whose statistics the
+    clear also resets), so what it counts does not depend on order."""
+    kspace._design_point.cache_clear()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """calls(name, *modules): replace ``name`` in each module by one
+    wrapper of the first module's function; returns the list of the
+    positional arguments of its calls."""
+    def count(name, *modules):
+        seen = []
+        real = getattr(modules[0], name)
+
+        def counted(*a, **kw):
+            seen.append(a)
+            return real(*a, **kw)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return seen
+    return count
 
 
 @pytest.fixture

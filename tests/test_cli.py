@@ -589,29 +589,22 @@ def test_untunable_array_is_a_config_error(tmp_path, capsys, args, name,
     assert not list(tmp_path.glob("out/*.csv"))
 
 
-@pytest.mark.parametrize("args, calls", [
+@pytest.mark.parametrize("args, fits", [
     (["simulate"], 1),
     (["sweep", "--param", "range_m", "--values", "2,8,32"], 3),
     (["calibrate"], 1),
 ])
-def test_each_command_calibrates_once_per_estimate(tmp_path, monkeypatch,
-                                                   args, calls):
+def test_each_command_calibrates_once_per_estimate(tmp_path, calls, args,
+                                                   fits):
     # simulate once ran a second calibration only to validate the array,
     # and a range sweep one more than its points. run_beamform and
     # calibrate_axis share one fit, so that is what is counted.
     from combbeam import kspace
 
-    fit = kspace._fit_calibration
-    count = []
-
-    def counted(*a, **kw):
-        count.append(a)
-        return fit(*a, **kw)
-
-    monkeypatch.setattr(kspace, "_fit_calibration", counted)
+    count = calls("_fit_calibration", kspace)
     assert main([args[0], "--config", str(scenario_path("single_source")),
                  "--out", str(tmp_path), *args[1:]]) == 0
-    assert len(count) == calls
+    assert len(count) == fits
 
 
 @pytest.mark.parametrize("args, syntheses", [
@@ -619,20 +612,13 @@ def test_each_command_calibrates_once_per_estimate(tmp_path, monkeypatch,
     (["sweep", "--param", "range_m", "--values", "2,8,32"], 3),
     (["calibrate"], 1),
 ])
-def test_each_command_synthesizes_once_per_estimate(tmp_path, monkeypatch,
-                                                    args, syntheses):
+def test_each_command_synthesizes_once_per_estimate(tmp_path, calls, args,
+                                                    syntheses):
     # calibrate once synthesized its held-out probes apart from the probes
     # it fits
     from combbeam import kspace
 
-    synthesize = kspace._baseband_field
-    count = []
-
-    def counted(*a, **kw):
-        count.append(a)
-        return synthesize(*a, **kw)
-
-    monkeypatch.setattr(kspace, "_baseband_field", counted)
+    count = calls("_baseband_field", kspace)
     assert main([args[0], "--config", str(scenario_path("single_source")),
                  "--out", str(tmp_path), *args[1:]]) == 0
     assert len(count) == syntheses
@@ -643,23 +629,15 @@ def test_each_command_synthesizes_once_per_estimate(tmp_path, monkeypatch,
     (["sweep", "--param", "range_m", "--values", "2,8,32"], 3),
     (["calibrate"], 1),
 ])
-def test_each_command_gates_each_design_point_once(tmp_path, monkeypatch,
-                                                   args, gates):
+def test_each_command_gates_each_design_point_once(tmp_path, args, gates):
     # simulate and sweep check their design points before they estimate,
-    # and each estimate then finds its point remembered
+    # and each estimate then finds its point remembered: each design point
+    # built (and gated) is one miss of its cache
     from combbeam import kspace
 
-    gate = kspace._gate
-    count = []
-
-    def counted(*a, **kw):
-        count.append(a)
-        return gate(*a, **kw)
-
-    monkeypatch.setattr(kspace, "_gate", counted)
     assert main([args[0], "--config", str(scenario_path("single_source")),
                  "--out", str(tmp_path), *args[1:]]) == 0
-    assert len(count) == gates
+    assert kspace._design_point.cache_info().misses == gates
 
 
 def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):
@@ -676,21 +654,13 @@ def test_simulate_emit_rf_writes_one_row_per_grid_point(tmp_path):
     assert max(abs(float(r[1])) for r in rows) <= 63.0
 
 
-def test_simulate_emit_rf_propagates_the_scene_once(tmp_path, monkeypatch):
+def test_simulate_emit_rf_propagates_the_scene_once(tmp_path, calls):
     # rf.csv reads the estimate's own phasors. _phasor_stack is counted in
     # both modules that reach it: kspace, and propagation through
     # scene_element_phasors.
     from combbeam import kspace, propagation
 
-    stack = propagation._phasor_stack
-    count = []
-
-    def counted(*a, **kw):
-        count.append(a)
-        return stack(*a, **kw)
-
-    monkeypatch.setattr(propagation, "_phasor_stack", counted)
-    monkeypatch.setattr(kspace, "_phasor_stack", counted)
+    count = calls("_phasor_stack", propagation, kspace)
     cfg = tmp_path / "rf.yaml"
     cfg.write_text(scenario_path("single_source").read_text().replace(
         "output: {}", "output: {emit_rf: true}"))
@@ -700,18 +670,11 @@ def test_simulate_emit_rf_propagates_the_scene_once(tmp_path, monkeypatch):
     assert len(count) == 1
 
 
-def test_phase_map_propagates_its_source_once(tmp_path, monkeypatch):
+def test_phase_map_propagates_its_source_once(tmp_path, calls):
     # curvature.csv fits the map phase_map.csv is written from
     from combbeam import conventional
 
-    phase = conventional.received_phase
-    count = []
-
-    def counted(*a, **kw):
-        count.append(a)
-        return phase(*a, **kw)
-
-    monkeypatch.setattr(conventional, "received_phase", counted)
+    count = calls("received_phase", conventional)
     assert main(["phase-map", "--config", str(scenario_path("oblique_map")),
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "curvature.csv").exists()

@@ -286,20 +286,6 @@ def test_calibrate_rejects_bad_reference_range(demo_comb, demo_geometry):
                        reference_range_m=-3.0)
 
 
-def _counted(monkeypatch, name):
-    """Replace kspace.<name> by a wrapper; returns the list of its calls'
-    positional arguments."""
-    calls = []
-    real = getattr(kspace, name)
-
-    def counted(*a, **kw):
-        calls.append(a)
-        return real(*a, **kw)
-
-    monkeypatch.setattr(kspace, name, counted)
-    return calls
-
-
 def _demo_estimate():
     """The demo comb, array, scene and config, built afresh: equal to, but
     not the same objects as, those of an earlier call."""
@@ -310,11 +296,10 @@ def _demo_estimate():
     return scene, linear_array(21, D21), comb, SimConfig(lo_hz=19.0e9)
 
 
-def test_a_repeat_estimate_propagates_and_synthesizes_only_its_scene(
-        monkeypatch):
+def test_a_repeat_estimate_propagates_and_synthesizes_only_its_scene(calls):
     first = run_beamform(*_demo_estimate())
-    stacks = _counted(monkeypatch, "_phasor_stack")
-    fits = _counted(monkeypatch, "_fit_calibration")
+    stacks = calls("_phasor_stack", kspace)
+    fits = calls("_fit_calibration", kspace)
     scene, geom, comb, config = _demo_estimate()
     second = run_beamform(scene, geom, comb, config)
     assert [a[0] for a in stacks] == [(scene,)]
@@ -326,7 +311,7 @@ def test_a_repeat_estimate_propagates_and_synthesizes_only_its_scene(
         assert np.array_equal(getattr(second.phasors, name),
                               getattr(first.phasors, name))
     # calibrate_axis then propagates and synthesizes nothing
-    synths = _counted(monkeypatch, "_baseband_field")
+    synths = calls("_baseband_field", kspace)
     assert calibrate_axis(geom, comb, 19.0e9) == first.calibration
     assert len(stacks) == 1 and synths == [] and fits == []
 
@@ -363,15 +348,15 @@ def _calibration_of(f0_hz, delta_f_hz, duration_s, amplitude, dx_m, origin,
     ({"reference_range_m": 10.0}, {"reference_range_m": 20.0}),
     ({"reference_range_m": 10.0}, {"reference_range_m": None}),
 ])
-def test_each_input_of_the_fit_gets_its_own_calibration(monkeypatch, warm,
+def test_each_input_of_the_fit_gets_its_own_calibration(calls, warm,
                                                         change):
     # a field left out of the memo's key would hand back the warm fit
     warm = {**_BASE_CALIBRATION, **warm}
     _calibration_of(**warm)
-    fits = _counted(monkeypatch, "_fit_calibration")
+    fits = calls("_fit_calibration", kspace)
     got = _calibration_of(**{**warm, **change})
     assert len(fits) == 1
-    kspace._CALIBRATIONS.clear()
+    kspace._design_point.cache_clear()
     assert got == _calibration_of(**{**warm, **change})
 
 
@@ -379,12 +364,27 @@ def test_the_memo_holds_at_most_its_bound():
     comb = CombSpec(f0_hz=19.0008e9, delta_f_hz=0.2e6, num_tones=4,
                     duration_s=5e-6)
     geom = linear_array(4, D21)
-    grids = range(8, 8 + kspace._CALIBRATIONS_HELD + 40)
+    bound = 256
+    grids = range(8, 8 + bound + 40)
+
+    def held(g):
+        """Whether calibrate_axis on g points finds its design point."""
+        hits = kspace._design_point.cache_info().hits
+        calibrate_axis(geom, comb, 19.0e9, grid_points=g)
+        return kspace._design_point.cache_info().hits > hits
+
     for g in grids:
         calibrate_axis(geom, comb, 19.0e9, grid_points=g)
-    assert len(kspace._CALIBRATIONS) == kspace._CALIBRATIONS_HELD
-    held = {key[4] for key in kspace._CALIBRATIONS}
-    assert held == set(grids[-kspace._CALIBRATIONS_HELD:])
+    info = kspace._design_point.cache_info()
+    assert info.maxsize == info.currsize == bound
+    assert all(held(g) for g in grids[-bound:])
+    assert not held(grids[0])
+    # the least recently used goes first, not the first put in: read
+    # again, the oldest point held outlives the one put in after it
+    oldest, next_oldest = grids[-bound + 1], grids[-bound + 2]
+    assert held(oldest)
+    assert not held(grids[1])
+    assert held(oldest) and not held(next_oldest)
 
 
 def test_an_lo_off_the_tone_lattice_is_rejected_before_the_memo(demo_comb,
@@ -393,9 +393,9 @@ def test_an_lo_off_the_tone_lattice_is_rejected_before_the_memo(demo_comb,
     # lattice; 1e17 rounds to multiples of 16 Hz and stays on it
     with pytest.raises(ValueError, match=r"^sim\.lo_hz: "):
         calibrate_axis(demo_geometry, demo_comb, 1.0e18)
-    assert kspace._CALIBRATIONS == {}
+    assert kspace._design_point.cache_info().currsize == 0
     calibrate_axis(demo_geometry, demo_comb, 1.0e17)
-    assert len(kspace._CALIBRATIONS) == 1
+    assert kspace._design_point.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("change, field", [
@@ -413,24 +413,28 @@ def test_a_design_point_the_gate_rejects_is_never_remembered(change, field):
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}\b"):
             run_beamform(scene, inputs["geometry"], inputs["comb"],
                          inputs["config"])
-        assert kspace._CALIBRATIONS == {}
+        assert kspace._design_point.cache_info().currsize == 0
 
 
-def test_the_gate_runs_once_per_design_point(monkeypatch):
-    gates = _counted(monkeypatch, "_gate")
+def test_the_gate_runs_once_per_design_point():
+    def gates():
+        """Design points built (and gated) since the last cache_clear."""
+        return kspace._design_point.cache_info().misses
+
     scene, geom, comb, config = _demo_estimate()
     run_beamform(scene, geom, comb, config)
     # equal inputs, fresh objects: the memo is read before the gate
     run_beamform(*_demo_estimate())
     assert calibrate_axis(geom, comb, 19.0e9) is not None
-    assert len(gates) == 1
+    assert gates() == 1
     run_beamform(scene, geom, comb, SimConfig(lo_hz=19.0e9, grid_points=4097))
     run_beamform(scene, geom, comb, SimConfig(lo_hz=19.0e9, grid_points=4097))
-    assert len(gates) == 2
-    # a design point the memo no longer holds passes the gate again
-    kspace._CALIBRATIONS.clear()
+    assert gates() == 2
+    # a design point the memo no longer holds passes the gate again (the
+    # clear also resets the count)
+    kspace._design_point.cache_clear()
     run_beamform(scene, geom, comb, config)
-    assert len(gates) == 3
+    assert gates() == 1
 
 
 @pytest.mark.parametrize("tuning_order, config", [
@@ -442,11 +446,11 @@ def test_the_gate_runs_once_per_design_point(monkeypatch):
                              calibration_range_m=7.0,
                              noise=NoiseSpec(sigma=0.5, seed=3))),
 ])
-def test_a_warm_estimate_equals_a_cold_one(monkeypatch, tuning_order, config):
+def test_a_warm_estimate_equals_a_cold_one(calls, tuning_order, config):
     scene, _, comb, _ = _demo_estimate()
     geom = linear_array(21, D21, tuning_order=tuning_order)
     cold = run_beamform(scene, geom, comb, config)
-    fits = _counted(monkeypatch, "_fit_calibration")
+    fits = calls("_fit_calibration", kspace)
     warm = run_beamform(scene, linear_array(21, D21,
                                             tuning_order=tuning_order),
                         comb, config)
@@ -707,9 +711,9 @@ def test_run_beamform_equals_its_stages_run_separately(estimate):
     scene, geom, comb, config = estimate
     # each side fits its own calibration, not one remembered from the other
     # or from an earlier example
-    kspace._CALIBRATIONS.clear()
+    kspace._design_point.cache_clear()
     got = run_beamform(scene, geom, comb, config)
-    kspace._CALIBRATIONS.clear()
+    kspace._design_point.cache_clear()
     f_lo = config.lo_for(comb)
     ps = scene_element_phasors(scene, geom, comb, f_lo, config.phase_sign)
     want = beamform_envelope(ps, default_time_grid(comb, config.grid_points),

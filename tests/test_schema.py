@@ -166,7 +166,7 @@ def test_the_tunability_gate_is_complete(doc):
     except cli.ConfigError:
         return
     comb, geometry, sim = config.comb, config.geometry, config.sim
-    kspace._CALIBRATIONS.clear()
+    kspace._design_point.cache_clear()
     try:
         kspace._calibrating(kspace._design_of(geometry, comb, sim))
     except ValueError as e:
@@ -174,7 +174,8 @@ def test_the_tunability_gate_is_complete(doc):
         assert named in PATHS, str(e)
         # the gate remembers no point it rejects; one tone passes the gate
         # and fails only the axis fit's rule
-        assert len(kspace._CALIBRATIONS) == (named == "comb.num_tones")
+        assert (kspace._design_point.cache_info().currsize
+                == (named == "comb.num_tones"))
         return
     cal = calibrate_axis(geometry, comb, sim.lo_for(comb), sim.phase_sign,
                          sim.grid_points, sim.calibration_range_m)

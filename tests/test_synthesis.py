@@ -108,6 +108,16 @@ def test_rf_is_the_real_part_of_the_dense_sum(n, dx, descending, farfield,
         <= 1e-9 * bound
 
 
+@pytest.mark.parametrize("grid_points, rows", [
+    (4096, 1), (8190, 1), (8193, 1), (8192, 2), (16384, 4)])
+def test_the_fft_runs_in_rows_of_at_least_4096_points(grid_points, rows):
+    # one transform below 8192 points and for odd G; else R rows of G/R
+    # points, R the largest power of two that leaves rows of >= 4096
+    bins, twiddles = kspace._fft_bins(np.arange(21.0), 1, grid_points)
+    assert twiddles.shape == (rows, 21)
+    assert np.array_equal(bins, np.arange(21))
+
+
 def test_rf_rejects_grids_the_fft_cannot_synthesize():
     ps = _random_phasors(np.random.default_rng(0), 5, False, 0.0)
     with pytest.raises(ValueError, match="0.62"):
@@ -175,18 +185,10 @@ def test_noiseless_paths_stay_off_the_complex_synthesizer(monkeypatch,
         snr_gain(scene, geom, comb, 0.7, trials=1, config=sim)
 
 
-def test_each_estimate_synthesizes_its_scene_with_its_probes(monkeypatch):
+def test_each_estimate_synthesizes_its_scene_with_its_probes(calls):
     # a noisy run_beamform once synthesized its scene a second time, and
     # peak_time_report its delay scene apart from the calibration probes
-    synthesize = kspace._baseband_field
-    count = []
-
-    def counted(*a, **kw):
-        count.append(a)
-        return synthesize(*a, **kw)
-
-    monkeypatch.setattr(kspace, "_baseband_field", counted)
-    monkeypatch.setattr(analysis, "_baseband_field", counted)
+    count = calls("_baseband_field", kspace)
     cfg = load_config_file(scenario_path("three_sources"))
     scene, geom, comb, sim = cfg.scene, cfg.geometry, cfg.comb, cfg.sim
     noisy = replace(sim, noise=NoiseSpec(sigma=0.5, seed=3))

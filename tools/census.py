@@ -13,11 +13,12 @@ column that moved, the largest absolute and relative difference. It
 exits 0 whether or not records differ.
 
 Each output is taken twice: cold, with no design point remembered
-(``kspace._CALIBRATIONS`` cleared), then warm, with the design points and
-calibrations the cold run left. The record is the cold one. A warm
-record that differs from it is a fault of the memo: the record then names
-the fields that moved under ``warm_differs``, and the census exits 1
-after writing every record.
+(``kspace._design_point``'s cache cleared), then warm, with the design
+points and calibrations the cold run left. The record is the cold one. A
+warm record that differs from it is a fault of the memo: the record then
+names the fields that moved under ``warm_differs``, and the census exits
+1 after writing every record. A source tree older than that cache holds
+its design points in the dict ``kspace._CALIBRATIONS``, cleared instead.
 
 ``--src`` is the source tree combbeam is imported from (default: the
 ``src/`` next to this tool), so one script can take the census of two
@@ -104,7 +105,10 @@ def _cold_and_warm(take_record):
     def both(*args, **kwargs) -> dict:
         from combbeam import kspace
 
-        kspace._CALIBRATIONS.clear()
+        if hasattr(kspace, "_CALIBRATIONS"):
+            kspace._CALIBRATIONS.clear()
+        else:
+            kspace._design_point.cache_clear()
         cold = take_record(*args, **kwargs)
         warm = take_record(*args, **kwargs)
         moved = [k for k in cold
